@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 validation/usage error, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -48,6 +49,16 @@ _GRID_DISTS = ("map-density", "map-cdf", "map-log-density", "posterior",
 
 
 class _Parser(argparse.ArgumentParser):
+    """Argument parser for the CLI and, as their parser class, its
+    subcommands."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-5e-05" as an option unless it looks like a
+        # negative number, and its own pattern has no exponent form
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     # usage problems are validation errors: exit 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)

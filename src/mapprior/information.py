@@ -7,12 +7,16 @@ information it carries, expressed in patient units:
 
 where sigma_u is the unit-information standard deviation (sqrt(n) times the
 standard error, the per-patient uncertainty scale).  For an exact normal
-prior this reduces to (sigma_u / sd)^2.  The curvature is estimated by
-central finite differences with Richardson extrapolation, so any evaluable
-density can be measured, and the expectation is integrated over the central
-1 - 1e-6 probability mass on equal-probability panels (heavy-tailed priors
-keep their far tails, where local information legitimately turns negative,
-at negligible weight).
+prior this reduces to (sigma_u / sd)^2.  The expectation is integrated over
+the central 1 - 1e-6 probability mass on equal-probability panels
+(heavy-tailed priors keep their far tails, where local information
+legitimately turns negative, at negligible weight).
+
+For a :class:`MapPrior` the local information is the analytic curvature of
+the log mixture density (Neuenschwander et al. 2020), read together with
+the density from one evaluation, and the panel edges come from one quantile
+inversion.  For any other density, :func:`ess_elir` estimates the curvature
+by central finite differences with Richardson extrapolation.
 """
 
 from __future__ import annotations
@@ -55,6 +59,11 @@ def _probability_ladder() -> np.ndarray:
     return np.concatenate([tails, core, 1.0 - tails[::-1]])
 
 
+#: positions of the 0.025 and 0.975 quantiles on the ladder, which set the
+#: finite-difference step
+_Q025, _Q975 = 6, -7
+
+
 def _edges_from_grid(density: Callable, lo: float, hi: float,
                      probs: np.ndarray) -> np.ndarray:
     """Quantiles by trapezoidal CDF inversion on a dense uniform grid."""
@@ -65,6 +74,30 @@ def _edges_from_grid(density: Callable, lo: float, hi: float,
     cdf /= cdf[-1]
     # probabilities are re-expressed relative to the truncated range
     return np.interp(probs, cdf, grid)
+
+
+def _expectation(weights: np.ndarray, p: np.ndarray, info: np.ndarray,
+                 uisd_value: float) -> float:
+    """uisd^2 times the p-weighted mean local information, refused when the
+    negative part rivals the positive."""
+    mass = float(weights @ p)
+    expectation = float(weights @ (p * info)) / mass
+    negative_part = -float(weights @ (p * np.minimum(info, 0.0))) / mass
+    positive_part = float(weights @ (p * np.maximum(info, 0.0))) / mass
+    negative_mass = float(weights @ (p * (info < 0.0))) / mass
+    if expectation <= 0.0 or negative_part > _NEGATIVE_SHARE_LIMIT * positive_part:
+        raise EssInstabilityError("local-information expectation unstable",
+                                  negative_mass=negative_mass,
+                                  expectation=expectation)
+    return uisd_value ** 2 * expectation
+
+
+def _panel_edges(ladder: np.ndarray) -> np.ndarray:
+    """Strictly increasing panel edges from a (weakly increasing) quantile
+    ladder."""
+    edges = np.maximum.accumulate(ladder)
+    keep = np.concatenate(([True], np.diff(edges) > 0.0))
+    return edges[keep]
 
 
 def ess_elir(density: Callable[[np.ndarray], np.ndarray],
@@ -101,18 +134,12 @@ def ess_elir(density: Callable[[np.ndarray], np.ndarray],
 
     probs = _probability_ladder()
     if quantile is not None:
-        edges = np.asarray(quantile(probs), dtype=float)
-        edges[0] = max(edges[0], lo)
-        edges[-1] = min(edges[-1], hi)
-        q025, q975 = quantile(np.array([0.025, 0.975]))
+        ladder = np.asarray(quantile(probs), dtype=float)
     else:
-        edges = _edges_from_grid(density, lo, hi, probs)
-        q025, q975 = _edges_from_grid(density, lo, hi, np.array([0.025, 0.975]))
-    edges = np.maximum.accumulate(edges)
-    keep = np.concatenate(([True], np.diff(edges) > 0.0))
-    edges = edges[keep]
-
-    nodes, weights = panel_nodes(edges, order=_PANEL_ORDER)
+        ladder = _edges_from_grid(density, lo, hi, probs)
+    q025, q975 = ladder[_Q025], ladder[_Q975]
+    nodes, weights = panel_nodes(_panel_edges(np.clip(ladder, lo, hi)),
+                                 order=_PANEL_ORDER)
 
     step = 1e-3 * (q975 - q025) / 4.0
     offsets = np.array([0.0, -step, step, -step / 2.0, step / 2.0])
@@ -123,25 +150,18 @@ def ess_elir(density: Callable[[np.ndarray], np.ndarray],
     coarse = (logp[1] - 2.0 * logp[0] + logp[2]) / step ** 2
     fine = (logp[3] - 2.0 * logp[0] + logp[4]) / (step / 2.0) ** 2
     info = -(4.0 * fine - coarse) / 3.0
-
-    p0 = vals[0]
-    mass = float(weights @ p0)
-    expectation = float(weights @ (p0 * info)) / mass
-    negative_part = -float(weights @ (p0 * np.minimum(info, 0.0))) / mass
-    positive_part = float(weights @ (p0 * np.maximum(info, 0.0))) / mass
-    negative_mass = float(weights @ (p0 * (info < 0.0))) / mass
-    if expectation <= 0.0 or negative_part > _NEGATIVE_SHARE_LIMIT * positive_part:
-        raise EssInstabilityError("local-information expectation unstable",
-                                  negative_mass=negative_mass,
-                                  expectation=expectation)
-    return uisd_value ** 2 * expectation
+    return _expectation(weights, vals[0], info, uisd_value)
 
 
 def ess_for_map_prior(map_prior: MapPrior, uisd_value: float) -> float:
-    """ESS of a scale-mixture prior, with quantile-based panels."""
-    bounds = map_prior.quantiles(np.array([_TAIL_PROB, 1.0 - _TAIL_PROB]))
-    return ess_elir(map_prior.density, (float(bounds[0]), float(bounds[1])),
-                    uisd_value, quantile=map_prior.quantiles)
+    """ESS of a scale-mixture prior: panels at its quantiles, local
+    information from the analytic log-density curvature."""
+    if not (math.isfinite(uisd_value) and uisd_value > 0):
+        raise InvalidParameterError(f"uisd must be > 0, got {uisd_value!r}")
+    edges = _panel_edges(map_prior.quantiles(_probability_ladder()))
+    nodes, weights = panel_nodes(edges, order=_PANEL_ORDER)
+    p, curvature = map_prior._density_and_curvature(nodes)
+    return _expectation(weights, p, -curvature, uisd_value)
 
 
 def ess_table(map_priors: Sequence[MapPrior], uisd_value: float) -> list[float]:

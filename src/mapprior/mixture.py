@@ -8,8 +8,16 @@ effect is the normal scale mixture
     theta_2 | tau  ~  Normal(y1, s1^2 + 2 tau^2),    tau ~ tau_prior.
 
 :class:`MapPrior` represents that mixture exactly (location y1, base variance
-s1^2, mixing prior on tau) and evaluates density, CDF, quantiles, variance
-and draws by quadrature over tau.  Heavy-tailed mixing priors are fully
+s1^2, mixing prior on tau).  Density, CDF and log-density curvature are
+mixing integrals over tau, evaluated with one tau mixing rule per
+``MapPrior`` (see :mod:`mapprior.quadrature`): each becomes
+``kernel(theta - y1, nodes) @ weights`` over blocks of 512 theta values.
+The rule is built on the first evaluation, for the largest offset
+|theta - y1| + s1 that evaluation needs, rounded up to s1 times a power of
+two, and checked once against a refined copy of itself.  A later
+evaluation that reaches further replaces it with a rule built and checked
+for the larger reach; smaller reaches reuse it.  Quantiles invert the CDF
+by bisection on the same rule.  Heavy-tailed mixing priors are fully
 supported; only the variance becomes infinite for them, every other
 evaluation stays finite.
 """
@@ -17,20 +25,24 @@ evaluation stays finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
 
 from .errors import InvalidParameterError, QuadratureError
 from .priors import HeterogeneityPrior
-from .quadrature import mix_against_prior
+from .quadrature import MixingRule, mixing_rule
 from .study import StudyEstimate
 
 __all__ = ["MapPrior", "conditional_moments"]
 
-#: grid points evaluated per mixing-quadrature call, bounds peak memory
+#: theta values evaluated per block, bounds peak memory
 _BLOCK = 512
+
+#: CDF tails below this are indistinguishable from zero for every consumer
+#: (the quantile tolerance is 1e-8), so the rule check holds them absolutely
+_TAIL_FLOOR = 1e-13
 
 #: probability tolerance for quantile inversion
 _QUANTILE_TOL = 1e-8
@@ -54,11 +66,15 @@ class MapPrior:
     """Normal scale mixture prior for a new study's effect.
 
     Immutable; all evaluations are pure functions, safe for concurrent use.
+    The tau mixing rule is a private cache built on first use: concurrent
+    first evaluations may each build one, and the last one stored is kept.
     """
 
     location: float
     base_variance: float
     tau_prior: HeterogeneityPrior
+    _rule: MixingRule | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.location)):
@@ -79,87 +95,86 @@ class MapPrior:
     def _mixture_variances(self, tau: np.ndarray) -> np.ndarray:
         return self.base_variance + 2.0 * np.square(tau)
 
+    def _inverse_variances(self, tau: np.ndarray) -> np.ndarray:
+        # 0 where tau is so large (or infinite) that the variance overflows
+        with np.errstate(over="ignore"):
+            return 1.0 / self._mixture_variances(tau)
+
+    def _normal_kernel(self, d: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        inv = self._inverse_variances(tau)
+        return np.exp(-0.5 * np.square(d) * inv) * np.sqrt(inv / (2.0 * math.pi))
+
+    def _tail_kernel(self, d: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        return special.ndtr(-np.abs(d) * np.sqrt(self._inverse_variances(tau)))
+
     # -- pointwise evaluations -------------------------------------------
 
-    def _map_blocks(self, kernel, theta, components: int | None = None,
-                    abs_floor: float = 0.0):
-        """Evaluate a tau-quadrature kernel over theta in memory-bounded blocks.
+    def _mixing_rule(self, reach: float) -> MixingRule:
+        """The tau rule, built or extended to serve offsets up to ``reach``."""
+        rule = self._rule
+        if rule is None or rule.reach < reach:
+            unit = self.base_se
+            reach = unit * 2.0 ** math.ceil(math.log2(reach / unit))
+            rule = mixing_rule(self.tau_prior, unit, reach,
+                               ((self._normal_kernel, 0.0),
+                                (self._tail_kernel, _TAIL_FLOOR)))
+            object.__setattr__(self, "_rule", rule)
+        return rule
 
-        ``kernel(d_column)`` returns a function of tau suitable for
-        :func:`mix_against_prior`, where ``d_column`` is a (k, 1) array of
-        offsets from the location.  The integrand's tau feature scales are
-        derived from each block: structure no finer than half the base
-        standard error, none beyond the largest offset.
+    def _map_blocks(self, reduce, theta):
+        """Apply ``reduce(d, rule)`` to the offsets of theta from the
+        location, in blocks of at most ``_BLOCK`` rows.
+
+        ``d`` is a (k, 1) array of offsets; ``reduce`` returns an array
+        whose first axis has length k.  The result keeps theta's shape in
+        front of any trailing axes ``reduce`` adds.
         """
         theta = np.asarray(theta, dtype=float)
-        flat = np.atleast_1d(theta).ravel()
-        shape = (flat.size,) if components is None else (components, flat.size)
-        out = np.empty(shape, dtype=float)
-        for start in range(0, flat.size, _BLOCK):
-            block = flat[start:start + _BLOCK]
-            d = (block - self.location)[:, None]
-            piece = mix_against_prior(
-                kernel(d), self.tau_prior, abs_floor=abs_floor,
-                inner_scale=0.5 * self.base_se,
-                outer_scale=float(np.max(np.abs(d))) + self.base_se)
-            out[..., start:start + block.size] = piece
-        if theta.ndim == 0:
-            return out[..., 0]
-        return out.reshape(shape[:-1] + theta.shape)
+        offsets = np.atleast_1d(theta).ravel() - self.location
+        finite = np.abs(offsets[np.isfinite(offsets)])
+        rule = self._mixing_rule(float(np.max(finite, initial=0.0)) + self.base_se)
+        pieces = [reduce(offsets[start:start + _BLOCK, None], rule)
+                  for start in range(0, max(offsets.size, 1), _BLOCK)]
+        out = np.concatenate(pieces)
+        return out.reshape(theta.shape + out.shape[1:])
 
     def density(self, theta):
         """Mixture density, symmetric about the location; vectorized."""
-        def kernel(d):
-            dsq = np.square(d)
-
-            def f(tau):
-                v = self._mixture_variances(tau)
-                return np.exp(-0.5 * dsq / v) / np.sqrt(2.0 * math.pi * v)
-
-            return f
-
-        result = self._map_blocks(kernel, theta)
-        return float(result) if np.ndim(result) == 0 else result
+        result = self._map_blocks(
+            lambda d, rule: self._normal_kernel(d, rule.nodes) @ rule.weights, theta)
+        return float(result) if result.ndim == 0 else result
 
     def cdf(self, theta):
         """Mixture CDF; evaluated through the nearer tail for accuracy."""
         theta = np.asarray(theta, dtype=float)
-
-        def kernel(d):
-            a = -np.abs(d)
-
-            def f(tau):
-                v = self._mixture_variances(tau)
-                return special.ndtr(a / np.sqrt(v))
-
-            return f
-
-        # tail probabilities below 1e-13 are indistinguishable from zero for
-        # every consumer (quantile tolerance is 1e-8), so the refinement may
-        # stop on an absolute criterion there
-        tail = self._map_blocks(kernel, theta, abs_floor=1e-13)
+        tail = self._map_blocks(
+            lambda d, rule: self._tail_kernel(d, rule.nodes) @ rule.weights, theta)
         result = np.where(theta <= self.location, tail, 1.0 - tail)
         return float(result) if result.ndim == 0 else result
 
-    def log_density_curvature(self, theta):
-        """Second derivative of the log density, by differentiation under
-        the integral; used as the analytic cross-check for finite-difference
-        local-information estimates."""
-        def kernel(d):
-            dsq = np.square(d)
+    def _density_and_curvature(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """Density and second derivative of the log density, from one pass
+        over the rule: the density and its first two theta derivatives are
+        three contractions of the same exponential matrix."""
+        def reduce(d, rule):
+            inv = self._inverse_variances(rule.nodes)
+            scaled = rule.weights * np.sqrt(inv / (2.0 * math.pi))
+            moments = np.exp(-0.5 * np.square(d) * inv) @ np.stack(
+                [scaled, scaled * inv, scaled * np.square(inv)], axis=1)
+            p, m1, m2 = moments.T
+            offset = d[:, 0]
+            return np.stack([p, -offset * m1, np.square(offset) * m2 - m1], axis=1)
 
-            def f(tau):
-                v = self._mixture_variances(tau)
-                phi = np.exp(-0.5 * dsq / v) / np.sqrt(2.0 * math.pi * v)
-                g1 = -(d / v) * phi
-                g2 = (dsq / np.square(v) - 1.0 / v) * phi
-                return np.stack([phi, g1, g2])
-
-            return f
-
-        p, p1, p2 = self._map_blocks(kernel, theta, components=3)
+        values = self._map_blocks(reduce, theta)
+        p, p1, p2 = np.moveaxis(values, -1, 0)
         with np.errstate(divide="ignore", invalid="ignore"):
             curv = p2 / p - np.square(p1 / p)
+        return p, curv
+
+    def log_density_curvature(self, theta):
+        """Second derivative of the log density, by differentiation under
+        the integral; the analytic local information behind the ESS."""
+        curv = self._density_and_curvature(theta)[1]
         return float(curv) if np.ndim(curv) == 0 else curv
 
     # -- quantiles --------------------------------------------------------

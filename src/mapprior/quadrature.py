@@ -2,34 +2,70 @@
 
 Everything downstream (mixture densities, CDFs, shrinkage posteriors,
 information integrals) reduces to integrals of smooth integrands against a
-heterogeneity prior on [0, inf).  Heavy-tailed priors (half-Cauchy, Lomax)
-defeat naive truncation, so the half-line is mapped to the unit interval with
+heterogeneity prior on [0, inf).  Two routes evaluate them.
+
+Mixing rules
+------------
+:func:`mixing_rule` builds a fixed set of tau nodes whose weights are the
+Gauss-Legendre weight times the prior density times the Jacobian, so that a
+mixing integral of any kernel becomes ``kernel(d, nodes) @ weights``.  A
+:class:`~mapprior.mixture.MapPrior` builds one lazily, on its first
+evaluation, and reuses it for every density, CDF, curvature, quantile and
+ESS evaluation after that.
+
+Layout.  A first panel covers [0, t0], with t0 half the smaller of the
+inner scale (the source SE, below which the normal kernel is flat in tau)
+and the prior's 5% quantile (so the prior's own features near zero fall
+outside it).  Beyond t0 the panels are laid in log tau, two octaves wide:
+the mixing kernels change on the scale of tau itself, and heavy tails are
+smooth in log tau.  A panel across which the prior's log density changes
+by more than 16 is split further, which resolves light tails.  The panels
+run out to where the prior mass beyond is negligible (below 1e-25, as
+estimated by max(1 - F, tau p(tau)), the second standing in for the first
+once the CDF rounds to 1), or to the support's upper end.  Laying the far
+tail directly in tau octaves, rather than in u = tau / (tau + c), keeps a
+Lomax tail with shape below about 1.2 in reach: its integrand behaves like
+(1 - u)^(alpha - 1) at u = 1, beyond where dyadic u-panels can go.  The far
+tail holding less than 1e-23 of the prior mass, and single nodes below
+1e-26 of it, are pruned; the layout does not depend on the reach.
+
+Check.  A rule is built for a reach: the largest offset |theta - y1| it
+must serve.  It is checked once, when it is built, against the same layout
+with every panel halved and nothing pruned, plus the prior mass beyond the
+last panel placed at tau = inf (where every kernel takes its limit).  The
+caller's kernels are compared at probe offsets spanning [0, reach], with
+the tolerances :func:`adaptive_quad` applies (1e-9 relative, and values
+below 1e-12 of the largest, or below a kernel's absolute floor, held
+absolutely).  A rule that fails raises :class:`QuadratureError` with the
+achieved error.  A rule checked for a reach serves every smaller one; an
+evaluation that reaches further makes its owner build and check a rule for
+the larger reach.
+
+Adaptive panel doubling
+-----------------------
+:func:`mix_against_prior` integrates one integrand by refining until two
+successive estimates agree.  The half-line is mapped to the unit interval
+with
 
     u = tau / (tau + c),    tau = c * u / (1 - u),
 
 where the pivot c is the prior median.  A composite Gauss-Legendre rule
 (3 panels of 67 nodes, a 201-node starting rule) is refined by doubling the
 uniform panel count until two successive estimates agree to a relative
-tolerance.
-
-Far-field evaluations concentrate the integrand within a sliver near an
-endpoint of the unit interval (density thirty units out lives at
-1 - u ~ c / |theta - y1|), which uniform doubling can never resolve.  The
-uniform panels are therefore augmented with dyadic panels toward both
-endpoints, deep enough to straddle the caller-declared feature scales; each
-dyadic panel spans one octave of tau, over which the integrands here are
-spectrally smooth.
-
-Priors with bounded support (uniform) are integrated directly on [0, s] with
-the same dyadic refinement toward 0; pushing them through the substitution
-would place a density jump mid-panel and stall convergence.
+tolerance.  The uniform panels are augmented with dyadic panels toward both
+endpoints, deep enough to straddle the caller-declared feature scales.
+Priors with bounded support (uniform) are integrated directly on [0, s].
+The independent posterior routes (``mac_oracle`` and
+``reference_model_posterior``) use this route, so they share no rule with
+the mixture they are compared against.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -204,3 +240,137 @@ def mix_against_prior(f: Callable[[np.ndarray], np.ndarray],
 
     return adaptive_quad(g, 0.0, 1.0, rel_tol=rel_tol, abs_floor=abs_floor,
                          lo_fraction=lo_frac, hi_fraction=hi_frac)
+
+
+# -- mixing rules ------------------------------------------------------------
+
+#: nodes per mixing-rule panel
+RULE_ORDER = 24
+
+#: relative tolerance a mixing rule is checked to
+RULE_TOL = 1e-9
+
+#: log-tau width of a mixing-rule panel (two octaves)
+_RULE_WIDTH = math.log(4.0)
+
+#: largest change of the prior's log density across one panel, and the most
+#: pieces a panel is split into to meet it
+_RULE_LOG_STEP = 16.0
+_RULE_MAX_SPLIT = 64
+
+#: the layout ends where the prior mass beyond it is estimated below this
+_RULE_END_MASS = 1e-25
+
+#: pruning: far-tail mass and single-node weight, as fractions of the total
+_RULE_TAIL_MASS = 1e-23
+_RULE_NODE_WEIGHT = 1e-26
+
+#: nonzero probe offsets a rule is checked at (plus offset 0)
+_RULE_PROBES = 48
+
+#: largest tau the layout may reach
+_RULE_MAX_TAU = 1e300
+
+
+@dataclass(frozen=True)
+class MixingRule:
+    """Tau nodes and weights for mixing integrals against one prior.
+
+    ``weights`` already hold the prior density and the Jacobian, so the
+    integral of ``kernel(tau)`` against the prior is
+    ``kernel(nodes) @ weights``.  ``reach`` is the largest offset the rule
+    was checked for; ``achieved`` is the error its check measured.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    reach: float
+    achieved: float
+
+
+def _rule_layout(prior, inner_scale: float) -> tuple[float, np.ndarray, float]:
+    """First-panel end t0, log-tau panel edges beyond it, and the mass
+    beyond the last edge."""
+    t0 = 0.5 * min(inner_scale, float(prior.quantile(0.05)))
+    upper = float(prior.support_upper)
+    if math.isfinite(upper):
+        top, beyond = upper, 0.0
+    else:
+        ladder = np.ldexp(t0, np.arange(1, math.floor(math.log2(_RULE_MAX_TAU / t0)) + 1))
+        with np.errstate(over="ignore"):
+            left = np.maximum(1.0 - np.asarray(prior.cdf(ladder)),
+                              ladder * np.asarray(prior.density(ladder)))
+        ends = np.flatnonzero(left <= _RULE_END_MASS)
+        top = float(ladder[ends[0]] if ends.size else ladder[-1])
+        beyond = float(1.0 - prior.cdf(top))
+    lo, hi = math.log(t0), math.log(top)
+    x = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / _RULE_WIDTH)) + 1)
+
+    with np.errstate(divide="ignore", over="ignore"):
+        log_p = np.log(np.asarray(prior.density(np.exp(x))))
+    with np.errstate(invalid="ignore"):
+        change = np.abs(np.diff(log_p))
+    pieces = np.where(np.isnan(change), 1.0, np.ceil(change / _RULE_LOG_STEP))
+    pieces = np.clip(pieces, 1, _RULE_MAX_SPLIT).astype(int)
+    panel = np.repeat(np.arange(pieces.size), pieces)
+    step = np.arange(panel.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    edges = np.append(x[panel] + np.diff(x)[panel] * step / pieces[panel], hi)
+    return t0, edges, beyond
+
+
+def _rule_nodes(prior, t0: float, edges: np.ndarray,
+                halve: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and prior-weighted weights of the layout, every panel halved
+    when ``halve`` is set."""
+    first = np.array([0.0, 0.5 * t0, t0] if halve else [0.0, t0])
+    if halve:
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+    tau_lin, w_lin = panel_nodes(first, RULE_ORDER)
+    x, w_log = panel_nodes(edges, RULE_ORDER)
+    tau_log = np.exp(x)
+    tau = np.concatenate([tau_lin, tau_log])
+    weights = np.concatenate([w_lin, w_log * tau_log]) * np.asarray(prior.density(tau))
+    return tau, weights
+
+
+def mixing_rule(prior, inner_scale: float, reach: float,
+                kernels: Sequence[tuple[Callable, float]]) -> MixingRule:
+    """Build and check the tau mixing rule of ``prior`` for offsets up to
+    ``reach``.
+
+    ``prior`` is duck-typed like :func:`mix_against_prior`'s, plus ``cdf``.
+    ``inner_scale`` is the smallest tau scale the kernels resolve (the
+    source standard error).  ``kernels`` pairs each kernel the rule will
+    serve with its absolute floor (see :func:`adaptive_quad`); a kernel maps
+    a (k, 1) array of offsets and a tau array to a (k, tau) array and must
+    accept ``tau = inf``.
+
+    Raises
+    ------
+    QuadratureError
+        If the rule disagrees with its refined copy beyond ``RULE_TOL``; the
+        achieved error is reported on the exception.
+    """
+    t0, edges, beyond = _rule_layout(prior, inner_scale)
+    tau, weights = _rule_nodes(prior, t0, edges)
+    total = float(np.sum(weights))
+    far_mass = np.cumsum(weights[::-1])[::-1]
+    keep = (far_mass > _RULE_TAIL_MASS * total) & (weights > _RULE_NODE_WEIGHT * total)
+    tau, weights = tau[keep], weights[keep]
+
+    ref_tau, ref_w = _rule_nodes(prior, t0, edges, halve=True)
+    ref_tau = np.append(ref_tau[ref_w > 0.0], math.inf)
+    ref_w = np.append(ref_w[ref_w > 0.0], beyond)
+
+    probes = np.geomspace(min(inner_scale / 16.0, reach), reach, _RULE_PROBES)
+    d = np.concatenate(([0.0], probes))[:, None]
+    achieved = max(_refinement_error(kernel(d, tau) @ weights,
+                                     kernel(d, ref_tau) @ ref_w, floor)
+                   for kernel, floor in kernels)
+    if not achieved <= RULE_TOL:
+        raise QuadratureError(
+            f"tau mixing rule ({tau.size} nodes, reach {reach:.3g}) disagrees "
+            "with its refined copy", achieved=achieved)
+    tau.setflags(write=False)
+    weights.setflags(write=False)
+    return MixingRule(nodes=tau, weights=weights, reach=float(reach), achieved=achieved)

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from mapprior import StudyEstimate, make_prior, parse_ratio_ci, scale_for_median
 
@@ -135,6 +136,31 @@ def partial_moment(prior, power: int, upper: float) -> float:
         val, _ = quad(lambda x: x ** power * float(prior.density(x)), a, b, limit=200)
         total += val
     return total
+
+
+def mixture_cdf(prior, y1: float, s1: float, x: float) -> float:
+    """CDF of the predictive mixture Normal(y1, s1^2 + 2 tau^2) at ``x``.
+
+    Integrates the nearer tail with scipy's adaptive quadrature in log tau,
+    over panels between the prior's quantiles from 1e-12 to 1 - 1e-12, with
+    extra edges at |x - y1| / 8 and |x - y1|, where the kernel turns on.
+    The tau mass left out is 2e-12, below what any caller compares.
+    """
+    d = abs(x - y1)
+
+    def tail(tau):
+        return float(ndtr(-d / math.sqrt(s1 * s1 + 2.0 * tau * tau)))
+
+    probs = [1e-12, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999, 1 - 1e-6, 1 - 1e-12]
+    edges = [float(prior.quantile(p)) for p in probs]
+    edges = sorted(set(edges + [t for t in (d / 8.0, d) if edges[0] < t < edges[-1]]))
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        val, _ = quad(lambda s: tail(math.exp(s)) * float(prior.density(math.exp(s)))
+                      * math.exp(s), math.log(a), math.log(b),
+                      epsabs=1e-15, epsrel=1e-12, limit=400)
+        total += val
+    return total if x <= y1 else 1.0 - total
 
 
 def normal_pdf(x, mean, sd):

@@ -204,6 +204,19 @@ class TestGridCommand:
         assert values[-1, 0] == pytest.approx(1.0 - 1e-6)
         assert np.isfinite(values[:, 1]).all()
 
+    def test_negative_numbers_in_exponent_form(self, capsys, tmp_path):
+        out = tmp_path / "cdf.tsv"
+        code, _, err = run_cli(capsys, "grid", "--y", "-5e-05", "--se", "0.5",
+                               "--prior", "half-normal(0.5)", "--dist", "map-cdf",
+                               "--from", "-1e-3", "--to", "9e-4", "--points", "3",
+                               "--out", str(out))
+        assert code == 0 and err == ""
+        values = np.loadtxt(out)
+        assert values[0, 0] == -1e-3
+        # the middle point is the location -5e-05, where the CDF is one half
+        assert values[1, 0] == pytest.approx(-5e-05, abs=1e-15)
+        assert values[1, 1] == pytest.approx(0.5, abs=1e-12)
+
     def test_missing_prior_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "grid", "--data", ALPORT,
                                "--dist", "map-density", "--from", "-1", "--to", "1",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import normal_pdf
+from conftest import normal_pdf, table2_priors
 from mapprior import (
     EssInstabilityError,
     InvalidParameterError,
@@ -80,6 +80,29 @@ class TestMapPriors:
 
     def test_empty_list(self):
         assert ess_table([], 3.0) == []
+
+    @pytest.mark.parametrize("prior", table2_priors(), ids=lambda p: p.spec_string())
+    def test_analytic_information_matches_stencil(self, prior):
+        # the Richardson stencil route of ess_elir, on the same panels
+        mp = MapPrior(0.0, 0.451 ** 2, prior)
+        lo, hi = mp.quantiles(np.array([5e-7, 1.0 - 5e-7]))
+        stencil = ess_elir(mp.density, (lo, hi), uisd(70, 0.451), quantile=mp.quantiles)
+        assert ess_for_map_prior(mp, uisd(70, 0.451)) == pytest.approx(stencil, rel=1e-5)
+
+    def test_one_quantile_inversion(self, monkeypatch):
+        calls = []
+        inverse = MapPrior.quantiles
+
+        def counting(self, p):
+            calls.append(np.size(p))
+            return inverse(self, p)
+
+        monkeypatch.setattr(MapPrior, "quantiles", counting)
+        mp = MapPrior(0.0, 0.451 ** 2, make_prior("half-normal", 0.5))
+        ess_for_map_prior(mp, uisd(70, 0.451))
+        assert calls == [33]
+        ess_elir(mp.density, (-6.0, 6.0), 3.77, quantile=mp.quantiles)
+        assert calls == [33, 33]
 
     def test_heavy_tailed_midpoint_is_stable(self):
         # finite ESS despite infinite variance

@@ -1,20 +1,26 @@
 """Scale-mixture predictive prior: moments, evaluations, sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from conftest import normal_pdf
+from conftest import common_median, mixture_cdf, normal_pdf
 from mapprior import (
     InvalidParameterError,
     MapPrior,
     StudyEstimate,
     conditional_moments,
+    ess_for_map_prior,
     make_prior,
+    prior_comparison_table,
     scale_for_median,
+    uisd,
 )
+from mapprior import mixture
+from mapprior.quadrature import mix_against_prior
 
 ALPORT = StudyEstimate(y=-0.635, se=0.451, n=70, label="observational")
 TOPCAT = StudyEstimate(y=-0.117, se=0.077, n=3445, label="TOPCAT")
@@ -218,3 +224,106 @@ class TestLogDensityCurvature:
         pts = ALPORT.y + np.linspace(-1.0, 1.0, 7)
         np.testing.assert_allclose(mp.log_density_curvature(pts),
                                    -1.0 / ALPORT.se ** 2, rtol=1e-6)
+
+
+def _floored_error(got, ref, floor=0.0):
+    """Largest error relative to the reference, with values below 1e-12 of
+    the largest (or below ``floor``) held to an absolute tolerance."""
+    scale = np.maximum(np.abs(ref), max(1e-12 * np.max(np.abs(ref)), floor))
+    return float(np.max(np.abs(got - ref) / scale))
+
+
+class TestMixingRule:
+    """The per-prior tau rule against per-call adaptive quadrature."""
+
+    FAMILIES = [("half-normal", None), ("half-student-t", 5.0), ("half-cauchy", None),
+                ("half-logistic", None), ("exponential", None), ("lomax", 4.0),
+                ("uniform", None)]
+
+    @pytest.mark.parametrize("family,shape", FAMILIES)
+    @pytest.mark.parametrize("ratio", [0.1, 1.0, 10.0])
+    def test_matches_adaptive_quadrature(self, family, shape, ratio):
+        # ratio = source SE / prior median
+        s1 = 0.451
+        prior = make_prior(family, scale_for_median(family, s1 / ratio, shape), shape)
+        mp = MapPrior(location=0.3, base_variance=s1 ** 2, tau_prior=prior)
+        d = np.linspace(-40.0, 40.0, 161)
+
+        def density_kernel(tau):
+            v = s1 ** 2 + 2.0 * np.square(tau)
+            return np.exp(-0.5 * np.square(d[:, None]) / v) / np.sqrt(2.0 * math.pi * v)
+
+        def tail_kernel(tau):
+            return ndtr(-np.abs(d[:, None]) / np.sqrt(s1 ** 2 + 2.0 * np.square(tau)))
+
+        ref_density = mix_against_prior(density_kernel, prior, inner_scale=0.5 * s1,
+                                        outer_scale=40.0 + s1)
+        ref_tail = mix_against_prior(tail_kernel, prior, abs_floor=1e-13,
+                                     inner_scale=0.5 * s1, outer_scale=40.0 + s1)
+        ref_cdf = np.where(d <= 0.0, ref_tail, 1.0 - ref_tail)
+        assert _floored_error(mp.density(mp.location + d), ref_density) <= 1e-8
+        assert _floored_error(mp.cdf(mp.location + d), ref_cdf, floor=1e-13) <= 1e-8
+
+    def test_one_rule_per_reach_extension(self, monkeypatch):
+        reaches = []
+        build = mixture.mixing_rule
+
+        def counting(prior, inner_scale, reach, kernels):
+            reaches.append(reach)
+            return build(prior, inner_scale, reach, kernels)
+
+        monkeypatch.setattr(mixture, "mixing_rule", counting)
+        mp = MapPrior.from_study(ALPORT, make_prior("half-cauchy", 0.34))
+        near = mp.location + np.linspace(-2.0, 2.0, 9)
+        mp.density(near)
+        mp.cdf(near)
+        mp.log_density_curvature(near)
+        assert len(reaches) == 1
+
+        mp.quantiles(np.array([0.025, 0.975]))
+        ess_for_map_prior(mp, uisd(70, 0.451))
+        # every build served a call reaching beyond the previous rule
+        assert reaches == sorted(set(reaches))
+        built = len(reaches)
+        assert built <= 3
+
+        mp.density(near)
+        mp.cdf(mp.location + 100.0)
+        mp.quantiles(np.array([0.001, 0.5, 0.999]))
+        ess_for_map_prior(mp, uisd(70, 0.451))
+        assert len(reaches) == built
+
+    def test_rule_is_not_part_of_equality(self, hn05):
+        a = MapPrior(0.0, 0.2, hn05)
+        b = MapPrior(0.0, 0.2, hn05)
+        a.density(1.0)
+        assert a == b and hash(a) == hash(b)
+        assert "rule" not in repr(a)
+
+
+class TestHeavyTailedQuantiles:
+    """Mixtures whose tau tail the unit-interval map could not reach."""
+
+    @pytest.mark.parametrize("family,scale,shape,se", [
+        ("lomax", "match", 0.5, 0.451),
+        ("lomax", "match", 0.8, 0.451),
+        ("lomax", "match", 1.02, 0.451),
+        ("lomax", "match", 1.2, 0.451),
+        ("half-student-t", 0.3, 0.3, 0.45),
+        ("lomax", 0.3, 0.2, 0.45),
+    ])
+    def test_quantiles_against_scipy_oracle(self, family, scale, shape, se):
+        if scale == "match":
+            scale = scale_for_median(family, common_median(), shape)
+        prior = make_prior(family, scale, shape)
+        p = np.array([5e-7, 0.005, 0.025, 0.5, 0.975, 0.995, 1.0 - 5e-7])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            row = prior_comparison_table(se, [prior], uisd(70, se))[0]
+            q = MapPrior(0.0, se ** 2, prior).quantiles(p)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert math.isfinite(row["ess_elir"]) and row["ess_elir"] > 0.0
+        pairs = list(zip(p, q)) + [(float(level), value)
+                                   for level, value in row["quantiles"].items()]
+        for prob, value in pairs:
+            assert abs(mixture_cdf(prior, 0.0, se, float(value)) - prob) <= 1e-8

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from mapprior import QuadratureError, make_prior
-from mapprior.quadrature import adaptive_quad, fixed_quad, mix_against_prior, panel_nodes
+from mapprior.quadrature import (
+    adaptive_quad,
+    fixed_quad,
+    mix_against_prior,
+    mixing_rule,
+    panel_nodes,
+)
 
 
 class TestPanels:
@@ -62,3 +68,47 @@ class TestMixAgainstPrior:
         prior = make_prior("exponential", 0.49)
         val = mix_against_prior(lambda tau: tau, prior)
         assert float(val) == pytest.approx(0.49, rel=1e-9)
+
+
+def _ones(d, tau):
+    return np.ones((d.shape[0], np.size(tau)))
+
+
+class TestMixingRule:
+    @pytest.mark.parametrize("family,scale,shape", [
+        ("half-normal", 0.5, None),
+        ("half-cauchy", 0.34, None),
+        ("lomax", 0.34, 1.0),
+        ("lomax", 0.3, 0.2),
+        ("uniform", 0.7, None),
+    ])
+    def test_weights_carry_the_prior_mass(self, family, scale, shape):
+        rule = mixing_rule(make_prior(family, scale, shape), 0.45, 10.0, [(_ones, 0.0)])
+        assert float(np.sum(rule.weights)) == pytest.approx(1.0, rel=1e-12)
+        assert np.all(np.diff(rule.nodes) > 0.0) and rule.reach == 10.0
+        assert rule.achieved <= 1e-9
+
+    def test_known_expectation(self):
+        rule = mixing_rule(make_prior("exponential", 0.49), 0.45, 10.0, [(_ones, 0.0)])
+        assert float(rule.nodes @ rule.weights) == pytest.approx(0.49, rel=1e-12)
+
+    def test_rule_is_read_only(self):
+        rule = mixing_rule(make_prior("half-normal", 0.5), 0.45, 10.0, [(_ones, 0.0)])
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+
+    def test_failed_check_reports_achieved_error(self):
+        # a kernel with a jump inside a panel defeats the refined copy
+        def step(d, tau):
+            return np.broadcast_to(np.where(tau < 0.3137, 1.0, 0.0), (d.shape[0], np.size(tau)))
+
+        with pytest.raises(QuadratureError) as exc:
+            mixing_rule(make_prior("half-normal", 0.5), 0.45, 10.0, [(step, 0.0)])
+        assert exc.value.achieved > 1e-9
+        assert "achieved relative error" in str(exc.value)
+
+    def test_unreachable_tail_mass_is_refused(self):
+        # shape 0.01 leaves 0.1% of the mass beyond tau = 1e300
+        with pytest.raises(QuadratureError) as exc:
+            mixing_rule(make_prior("lomax", 1.0, 0.01), 0.45, 10.0, [(_ones, 0.0)])
+        assert exc.value.achieved == pytest.approx(1e-3, rel=0.01)
