@@ -41,7 +41,7 @@ from .report import (
     prior_comparison_table,
     run_map_report,
 )
-from .shrink import shrinkage_posterior
+from .shrink import _normal_pdf, shrinkage_posterior
 from .study import StudyEstimate
 
 _GRID_DISTS = ("map-density", "map-cdf", "map-log-density", "posterior",
@@ -200,19 +200,18 @@ def _resolve_source(args) -> StudyEstimate:
     return direct
 
 
-def _write(text: str, out: str) -> None:
-    if out == "-":
+def _emit(payload, args, render_tsv) -> None:
+    """Round ``payload`` as ``--round`` asks, render it as JSON or TSV and
+    write it to ``--out``."""
+    if args.round_digits is not None:
+        if args.round_digits < 1:
+            raise ConfigurationError("--round needs at least 1 significant digit")
+        payload = round_to_digits(payload, args.round_digits)
+    text = render_json(payload) if args.format == "json" else render_tsv(payload)
+    if args.out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
-
-
-def _apply_rounding(payload, args):
-    if args.round_digits is None:
-        return payload
-    if args.round_digits < 1:
-        raise ConfigurationError("--round needs at least 1 significant digit")
-    return round_to_digits(payload, args.round_digits)
+        Path(args.out).write_text(text, encoding="utf-8")
 
 
 def _cmd_map(args) -> None:
@@ -221,9 +220,7 @@ def _cmd_map(args) -> None:
     report = run_map_report(source, prior, uisd_override=args.uisd,
                             levels=args.level or [0.95],
                             sample_check=args.sample_check, seed=args.seed)
-    report = _apply_rounding(report, args)
-    text = render_json(report) if args.format == "json" else render_report_tsv(report)
-    _write(text, args.out)
+    _emit(report, args, render_report_tsv)
 
 
 def _cmd_shrink(args) -> None:
@@ -235,35 +232,21 @@ def _cmd_shrink(args) -> None:
     prior = parse_prior_spec(args.prior)
     report = run_map_report(source, prior, target=target, uisd_override=args.uisd,
                             levels=args.level or [0.95])
-    report = _apply_rounding(report, args)
-    text = render_json(report) if args.format == "json" else render_report_tsv(report)
-    _write(text, args.out)
+    _emit(report, args, render_report_tsv)
 
 
 def _cmd_table2(args) -> None:
     priors = [parse_prior_spec(spec) for spec in args.prior]
     levels = args.quantile_level or [0.95, 0.975, 0.995]
     rows = prior_comparison_table(args.se, priors, args.uisd, quantile_levels=levels)
-    rows = _apply_rounding(rows, args)
-    if args.format == "json":
-        text = render_json(rows)
-    else:
-        text = render_table_tsv(rows, quantile_levels=levels)
-    _write(text, args.out)
+    _emit(rows, args, lambda r: render_table_tsv(r, quantile_levels=levels))
 
 
 def _cmd_convert(args) -> None:
     y, se = parse_ratio_ci(args.estimate, args.lower, args.upper, args.ci_level)
-    payload = _apply_rounding({
-        "log_estimate": round12(y),
-        "se": round12(se),
-        "level": args.ci_level,
-    }, args)
-    if args.format == "json":
-        text = render_json(payload)
-    else:
-        text = f"log_estimate\t{payload['log_estimate']:.12g}\nse\t{payload['se']:.12g}\n"
-    _write(text, args.out)
+    payload = {"log_estimate": round12(y), "se": round12(se), "level": args.ci_level}
+    _emit(payload, args, lambda p: f"log_estimate\t{p['log_estimate']:.12g}\n"
+                                   f"se\t{p['se']:.12g}\n")
 
 
 def _grid_function(args):
@@ -293,9 +276,7 @@ def _grid_function(args):
 
     source = _resolve_source(args)
     if args.dist == "likelihood":
-        v = source.variance
-        return (lambda x: np.exp(-0.5 * np.square(x - source.y) / v)
-                / np.sqrt(2.0 * np.pi * v)), (None, None)
+        return (lambda x: _normal_pdf(x, source.y, source.variance)), (None, None)
 
     mp = MapPrior.from_study(source, prior)
     if args.dist == "map-density":

@@ -12,24 +12,25 @@ change of variables; ``a0_density`` evaluates it.
 The same two-study model can be reparameterized as a bias-allowance
 ("reference") model: the target effect is a free parameter alpha, and the
 source estimate is offset from alpha by a normal bias with standard
-deviation beta, where beta carries the tau prior stretched by sqrt(2).
+deviation beta = sqrt(2) tau.  Every heterogeneity family is a scale family,
+so beta's prior is the tau prior's family at sqrt(2) times its scale.
 ``reference_model_posterior`` computes alpha's posterior directly on that
-formulation; it must agree with the shrinkage posterior, which is what makes
-it an independent oracle.
+formulation, on the grid :func:`~mapprior.shrink.shrinkage_posterior`
+builds; it must agree with the shrinkage posterior, which is what makes it
+an independent oracle.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .mixture import MapPrior
 from .priors import HeterogeneityPrior
-from .quadrature import mix_against_prior
-from .shrink import GRID_POINTS, ShrinkagePosterior, _final_grid, _normal_pdf, _normalized
+from .shrink import (ShrinkagePosterior, _mix_by_block, _normal_pdf, _normalized,
+                     shrinkage_posterior)
 from .study import StudyEstimate
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
     "a0_density",
     "beta_prior_from_tau_prior",
     "reference_model_posterior",
-    "ScaledPrior",
 ]
 
 
@@ -74,64 +74,34 @@ def a0_density(tau_prior: HeterogeneityPrior, s1: float, a0):
         p(a0) = s1/(2 sqrt(2)) * sqrt(a0/(1-a0)) / a0^2 * p_tau(tau(a0)).
 
     Defined on the open interval; the endpoints are returned as limits and
-    may be infinite (the density diverges integrably at a0 = 1, and at
-    a0 = 0 for sufficiently heavy-tailed tau priors).
+    may be infinite.  The density diverges integrably at a0 = 1.  At a0 = 0
+    (tau -> inf) it tends to tau^3 p_tau(tau) / s1^2: infinite for a power
+    tail p_tau ~ tau^-(k+1) with index k < 2 (half-Cauchy, half-Student-t
+    with nu < 2, Lomax with alpha < 2), 2 scale^2 / s1^2 at k = 2 (the
+    half-Student-t with nu = 2 and the Lomax with alpha = 2 alike), and 0
+    for lighter tails and bounded support.
     """
     if not (isinstance(s1, (int, float)) and math.isfinite(s1) and s1 > 0):
         raise InvalidParameterError(f"source standard error must be > 0, got {s1!r}")
     a0 = np.asarray(a0, dtype=float)
     if np.any((a0 < 0.0) | (a0 > 1.0)):
         raise InvalidParameterError("borrowing exponent must lie in [0, 1]")
+    k = tau_prior._spec.tail_index(tau_prior.shape)
+    zero_limit = (math.inf if k < 2.0 else 0.0 if k > 2.0
+                  else 2.0 * (tau_prior.scale / s1) ** 2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tau = s1 * np.sqrt((1.0 - a0) / (2.0 * a0))
         jac = (s1 / (2.0 * math.sqrt(2.0))) * np.sqrt(a0 / (1.0 - a0)) / np.square(a0)
         out = jac * tau_prior.density(np.where(np.isfinite(tau), tau, 0.0))
-        out = np.where(a0 == 0.0, _zero_limit(tau_prior, s1), out)
+        out = np.where(a0 == 0.0, zero_limit, out)
         out = np.where(a0 == 1.0, math.inf if tau_prior.density(0.0) > 0 else 0.0, out)
     return float(out) if out.ndim == 0 else out
 
 
-def _zero_limit(tau_prior: HeterogeneityPrior, s1: float) -> float:
-    # limit along a0 -> 0+ evaluated just inside the interval
-    eps = 1e-12
-    tau = s1 * math.sqrt((1.0 - eps) / (2.0 * eps))
-    jac = (s1 / (2.0 * math.sqrt(2.0))) * math.sqrt(eps / (1.0 - eps)) / eps ** 2
-    val = jac * float(tau_prior.density(tau))
-    return math.inf if val > 1.0 / eps else 0.0 if val < eps else val
-
-
-@dataclass(frozen=True)
-class ScaledPrior:
-    """A heterogeneity prior stretched by a fixed factor (beta = factor * tau).
-
-    Provides the same evaluation surface the quadrature engine expects, so
-    the bias-allowance integrals run on it directly.
-    """
-
-    base: HeterogeneityPrior
-    factor: float
-
-    def density(self, x):
-        return self.base.density(np.asarray(x, dtype=float) / self.factor) / self.factor
-
-    def cdf(self, x):
-        return self.base.cdf(np.asarray(x, dtype=float) / self.factor)
-
-    def quantile(self, p):
-        return self.factor * self.base.quantile(p)
-
-    @property
-    def median(self) -> float:
-        return self.factor * self.base.median
-
-    @property
-    def support_upper(self) -> float:
-        return self.factor * self.base.support_upper
-
-
-def beta_prior_from_tau_prior(tau_prior: HeterogeneityPrior) -> ScaledPrior:
-    """Prior for the source-bias standard deviation: tau stretched by sqrt(2)."""
-    return ScaledPrior(base=tau_prior, factor=math.sqrt(2.0))
+def beta_prior_from_tau_prior(tau_prior: HeterogeneityPrior) -> HeterogeneityPrior:
+    """Prior for the source-bias standard deviation beta = sqrt(2) tau: the
+    same family at sqrt(2) times the scale."""
+    return dataclasses.replace(tau_prior, scale=math.sqrt(2.0) * tau_prior.scale)
 
 
 def reference_model_posterior(source: StudyEstimate, target: StudyEstimate,
@@ -142,33 +112,17 @@ def reference_model_posterior(source: StudyEstimate, target: StudyEstimate,
     contributes the bias-marginalized likelihood
     integral of Normal(y1; alpha, s1^2 + beta^2) against the beta prior,
     and the target contributes its own normal likelihood.  Computed on the
-    standard posterior grid; agrees with :func:`shrinkage_posterior` up to
-    quadrature error.
+    grid of :func:`shrinkage_posterior` and agrees with it up to quadrature
+    error.
     """
-    beta_prior = beta_prior_from_tau_prior(tau_prior)
+    post = shrinkage_posterior(source, target, tau_prior)
     y1, v1 = source.y, source.variance
 
-    def source_factor(col: np.ndarray):
-        dsq = np.square(col - y1)
+    def source_factor(col: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        return _normal_pdf(col, y1, v1 + np.square(beta))
 
-        def f(beta: np.ndarray) -> np.ndarray:
-            v = v1 + np.square(beta)
-            return np.exp(-0.5 * dsq / v) / np.sqrt(2.0 * math.pi * v)
-
-        return f
-
-    def unnorm(grid: np.ndarray) -> np.ndarray:
-        out = np.empty(grid.size)
-        block = 512
-        for start in range(0, grid.size, block):
-            col = grid[start:start + block][:, None]
-            marginal = mix_against_prior(
-                source_factor(col), beta_prior,
-                inner_scale=0.5 * source.se,
-                outer_scale=float(np.max(np.abs(col - y1))) + source.se)
-            out[start:start + col.size] = marginal
-        return out * _normal_pdf(grid, target.y, target.variance)
-
-    grid = _final_grid(source, target, tau_prior, GRID_POINTS)
-    source_map = MapPrior.from_study(source, tau_prior)
-    return _normalized(grid, unnorm(grid), source_map, target)
+    marginal = _mix_by_block(
+        post.grid, source_factor, beta_prior_from_tau_prior(tau_prior),
+        0.5 * source.se, lambda col: float(np.max(np.abs(col - y1))) + source.se)
+    values = marginal * _normal_pdf(post.grid, target.y, target.variance)
+    return _normalized(post.grid, values, post.source_map, target)

@@ -72,6 +72,7 @@ class _Family(NamedTuple):
     mean: Callable             # (shape) -> float, may be inf
     mean_sq: Callable          # (shape) -> float, may be inf
     bounded: bool              # support is [0, 1] rather than [0, inf)
+    tail_index: Callable       # (shape) -> k of a power tail x^-(k+1), inf if lighter
 
 
 def _half_t_mean(nu: float) -> float:
@@ -100,6 +101,7 @@ _FAMILIES: dict[str, _Family] = {
         mean=lambda _: math.sqrt(2.0 / math.pi),
         mean_sq=lambda _: 1.0,
         bounded=False,
+        tail_index=lambda _: math.inf,
     ),
     "half-student-t": _Family(
         takes_shape=True,
@@ -109,6 +111,7 @@ _FAMILIES: dict[str, _Family] = {
         mean=_half_t_mean,
         mean_sq=lambda nu: nu / (nu - 2.0) if nu > 2.0 else math.inf,
         bounded=False,
+        tail_index=lambda nu: nu,
     ),
     "half-cauchy": _Family(
         takes_shape=False,
@@ -118,6 +121,7 @@ _FAMILIES: dict[str, _Family] = {
         mean=lambda _: math.inf,
         mean_sq=lambda _: math.inf,
         bounded=False,
+        tail_index=lambda _: 1.0,
     ),
     "half-logistic": _Family(
         takes_shape=False,
@@ -127,6 +131,7 @@ _FAMILIES: dict[str, _Family] = {
         mean=lambda _: math.log(4.0),
         mean_sq=lambda _: math.pi ** 2 / 3.0,
         bounded=False,
+        tail_index=lambda _: math.inf,
     ),
     "exponential": _Family(
         takes_shape=False,
@@ -136,6 +141,7 @@ _FAMILIES: dict[str, _Family] = {
         mean=lambda _: 1.0,
         mean_sq=lambda _: 2.0,
         bounded=False,
+        tail_index=lambda _: math.inf,
     ),
     "lomax": _Family(
         takes_shape=True,
@@ -145,6 +151,7 @@ _FAMILIES: dict[str, _Family] = {
         mean=lambda a: 1.0 / (a - 1.0) if a > 1.0 else math.inf,
         mean_sq=lambda a: 2.0 / ((a - 1.0) * (a - 2.0)) if a > 2.0 else math.inf,
         bounded=False,
+        tail_index=lambda a: a,
     ),
     "uniform": _Family(
         takes_shape=False,
@@ -154,6 +161,7 @@ _FAMILIES: dict[str, _Family] = {
         mean=lambda _: 0.5,
         mean_sq=lambda _: 1.0 / 3.0,
         bounded=True,
+        tail_index=lambda _: math.inf,
     ),
 }
 

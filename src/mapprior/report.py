@@ -3,9 +3,9 @@
 Reports are plain dicts with a fixed key order and every float rounded to 12
 significant digits, so identical inputs serialize to byte-identical JSON.
 Effect values are reported as log/ratio pairs with the ratio value always the
-exponential of the log value.  Infinite standard deviations appear as an
-explicit ``null`` with a companion reason field (TSV renderings leave the
-cell blank).
+exponential of the log value, or ``null`` where that exponential overflows.
+Infinite standard deviations appear as an explicit ``null`` with a companion
+reason field (TSV renderings leave ``null`` cells blank).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ TABLE_QUANTILE_LEVELS = (0.95, 0.975, 0.995)
 
 def round12(value: float) -> float:
     """Round to 12 significant digits (the report formatting contract)."""
-    return float(f"{value:.12g}")
+    return round_to_digits(float(value), 12)
 
 
 def round_to_digits(node, digits: int):
@@ -54,7 +54,11 @@ def round_to_digits(node, digits: int):
 
 
 def _log_ratio(value: float) -> dict:
-    return {"log": round12(value), "ratio": round12(math.exp(value))}
+    try:
+        ratio = round12(math.exp(value))
+    except OverflowError:
+        ratio = None
+    return {"log": round12(value), "ratio": ratio}
 
 
 def _study_echo(study: StudyEstimate) -> dict:

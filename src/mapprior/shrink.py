@@ -2,16 +2,20 @@
 
 The target study's posterior is the scale-mixture prior contributed by the
 source study multiplied by the target's normal likelihood, represented on a
-dense grid and normalized by the trapezoidal rule.  An independent
-joint-model route (:func:`mac_oracle`) conditions on the heterogeneity
-instead, weighting each tau by its marginal likelihood and mixing the
-tau-conditional normal posteriors, and must agree with the prior-times-
-likelihood route to numerical precision; the two constructions are
-mathematically identical.
+dense grid and normalized by the trapezoidal rule.  :func:`shrinkage_posterior`
+is the only place a posterior grid is built: it widens the covering grid
+until the edges are negligible and then tightens it onto the support.  The
+independent routes evaluate their own densities on that grid, so pointwise
+comparisons between routes are meaningful.  The joint-model route
+(:func:`mac_oracle`) conditions on the heterogeneity instead, weighting each
+tau by its marginal likelihood and mixing the tau-conditional normal
+posteriors, and must agree with the prior-times-likelihood route to
+numerical precision; the two constructions are mathematically identical.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -20,7 +24,7 @@ import numpy as np
 from scipy import special
 
 from .errors import GridCoverageError, InvalidParameterError
-from .mixture import MapPrior
+from .mixture import _BLOCK, MapPrior
 from .priors import HeterogeneityPrior
 from .quadrature import mix_against_prior
 from .study import StudyEstimate
@@ -72,10 +76,6 @@ class ShrinkagePosterior:
         cdf = np.concatenate(([0.0], np.cumsum(increments)))
         return cdf / cdf[-1]
 
-    def cdf_at(self, theta: float) -> float:
-        """Interpolated posterior probability of values <= ``theta``."""
-        return float(np.interp(theta, self.grid, self.cdf_values()))
-
     def quantile(self, p: float) -> float:
         if not 0.0 < p < 1.0:
             raise InvalidParameterError("quantile needs probabilities in (0, 1)")
@@ -126,15 +126,22 @@ def _normalized(grid: np.ndarray, unnorm: np.ndarray, source_map: MapPrior,
                               source_map=source_map, target=target)
 
 
-def _build_on_grid(source, target, tau_prior, unnorm_fn, points):
-    """Determine the evaluation grid and the unnormalized density on it.
+def shrinkage_posterior(source: StudyEstimate, target: StudyEstimate,
+                        tau_prior: HeterogeneityPrior,
+                        points: int = GRID_POINTS) -> ShrinkagePosterior:
+    """Posterior for the target effect: predictive prior times likelihood.
 
-    Starts from :func:`posterior_grid`, widens while the edge density is
-    non-negligible relative to the peak, then tightens onto the actual
-    support: one fixed-size grid cannot otherwise resolve extreme scale
-    ratios (a nearly flat likelihood leaves the posterior orders of
+    The grid starts from :func:`posterior_grid`, widens while the edge
+    density is non-negligible relative to the peak, then tightens onto the
+    actual support: one fixed-size grid cannot otherwise resolve extreme
+    scale ratios (a nearly flat likelihood leaves the posterior orders of
     magnitude narrower than the covering span).
     """
+    source_map = MapPrior.from_study(source, tau_prior)
+
+    def unnorm_fn(grid: np.ndarray) -> np.ndarray:
+        return _normal_pdf(grid, target.y, target.variance) * source_map.density(grid)
+
     grid = posterior_grid(source, target, tau_prior, points)
     center = 0.5 * (grid[0] + grid[-1])
     half = grid[-1] - center
@@ -158,36 +165,23 @@ def _build_on_grid(source, target, tau_prior, unnorm_fn, points):
             break
         grid = np.linspace(grid[lo], grid[hi], points)
         unnorm = unnorm_fn(grid)
-    return grid, unnorm
+    return _normalized(grid, unnorm, source_map, target)
 
 
-def _final_grid(source, target, tau_prior, points) -> np.ndarray:
-    """The grid shared by every posterior route for a given problem.
+def _mix_by_block(grid: np.ndarray, integrand, prior, inner_scale: float,
+                  outer_scale) -> np.ndarray:
+    """:func:`mix_against_prior` at every grid point, 512 points per pass.
 
-    Built from the prior-times-likelihood values; the alternative routes
-    evaluate their own densities on it, so pointwise comparisons between
-    routes are meaningful.
+    ``integrand(col, tau)`` is the mixing integrand at a column of grid
+    points, and ``outer_scale(col)`` the widest feature scale it declares.
     """
-    source_map = MapPrior.from_study(source, tau_prior)
-
-    def unnorm(grid: np.ndarray) -> np.ndarray:
-        return _normal_pdf(grid, target.y, target.variance) * source_map.density(grid)
-
-    grid, _ = _build_on_grid(source, target, tau_prior, unnorm, points)
-    return grid
-
-
-def shrinkage_posterior(source: StudyEstimate, target: StudyEstimate,
-                        tau_prior: HeterogeneityPrior,
-                        points: int = GRID_POINTS) -> ShrinkagePosterior:
-    """Posterior for the target effect: predictive prior times likelihood."""
-    source_map = MapPrior.from_study(source, tau_prior)
-
-    def unnorm(grid: np.ndarray) -> np.ndarray:
-        return _normal_pdf(grid, target.y, target.variance) * source_map.density(grid)
-
-    grid, vals = _build_on_grid(source, target, tau_prior, unnorm, points)
-    return _normalized(grid, vals, source_map, target)
+    out = np.empty(grid.size)
+    for start in range(0, grid.size, _BLOCK):
+        col = grid[start:start + _BLOCK][:, None]
+        out[start:start + col.size] = mix_against_prior(
+            functools.partial(integrand, col), prior, inner_scale=inner_scale,
+            outer_scale=outer_scale(col))
+    return out
 
 
 def mac_oracle(source: StudyEstimate, target: StudyEstimate,
@@ -199,40 +193,30 @@ def mac_oracle(source: StudyEstimate, target: StudyEstimate,
     effect's posterior is normal with precision-weighted moments; tau itself
     carries weight proportional to its prior density times the marginal
     likelihood Normal(y2; y1, s1^2 + s2^2 + 2 tau^2).  The posterior is the
-    weighted mixture over tau, assembled on the same grid as
+    weighted mixture over tau, evaluated on the grid of
     :func:`shrinkage_posterior` and normalized the same way.
     """
-    source_map = MapPrior.from_study(source, tau_prior)
+    post = shrinkage_posterior(source, target, tau_prior, points)
     v1, v2 = source.variance, target.variance
     y1, y2 = source.y, target.y
 
-    def conditional_mixture(col: np.ndarray):
-        def f(tau: np.ndarray) -> np.ndarray:
-            rho = np.square(tau)
-            mean_mu = (y1 * (v2 + rho) + y2 * (v1 + rho)) / (v1 + v2 + 2.0 * rho)
-            var_mu = (v1 + rho) * (v2 + rho) / (v1 + v2 + 2.0 * rho)
-            blend = v2 / (rho + v2)
-            mean_t = (rho * y2 + v2 * mean_mu) / (rho + v2)
-            var_t = rho * v2 / (rho + v2) + np.square(blend) * var_mu
-            weight = _normal_pdf(y2, y1, v1 + v2 + 2.0 * rho)
-            return weight * _normal_pdf(col, mean_t, var_t)
+    def conditional_mixture(col: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        rho = np.square(tau)
+        mean_mu = (y1 * (v2 + rho) + y2 * (v1 + rho)) / (v1 + v2 + 2.0 * rho)
+        var_mu = (v1 + rho) * (v2 + rho) / (v1 + v2 + 2.0 * rho)
+        blend = v2 / (rho + v2)
+        mean_t = (rho * y2 + v2 * mean_mu) / (rho + v2)
+        var_t = rho * v2 / (rho + v2) + np.square(blend) * var_mu
+        weight = _normal_pdf(y2, y1, v1 + v2 + 2.0 * rho)
+        return weight * _normal_pdf(col, mean_t, var_t)
 
-        return f
+    def outer_scale(col: np.ndarray) -> float:
+        span = max(float(np.max(np.abs(col - y1))), abs(y1 - y2))
+        return span + source.se + target.se
 
-    def unnorm(grid: np.ndarray) -> np.ndarray:
-        out = np.empty(grid.size)
-        block = 512
-        for start in range(0, grid.size, block):
-            col = grid[start:start + block][:, None]
-            span = max(float(np.max(np.abs(col - y1))), abs(y1 - y2))
-            out[start:start + col.size] = mix_against_prior(
-                conditional_mixture(col), tau_prior,
-                inner_scale=0.5 * min(source.se, target.se),
-                outer_scale=span + source.se + target.se)
-        return out
-
-    grid = _final_grid(source, target, tau_prior, points)
-    return _normalized(grid, unnorm(grid), source_map, target)
+    values = _mix_by_block(post.grid, conditional_mixture, tau_prior,
+                           0.5 * min(source.se, target.se), outer_scale)
+    return _normalized(post.grid, values, post.source_map, target)
 
 
 def posterior_summary(post: ShrinkagePosterior, level: float = 0.95) -> PosteriorSummary:

@@ -89,6 +89,13 @@ class TestMapCommand:
         assert block["sd_log"] == 0.362
         assert block["intervals"][0]["lower"]["log"] == -0.898
 
+    def test_overflowing_ratio_exits_0(self, capsys):
+        code, out, err = run_cli(capsys, "map", "--y", "0", "--se", "0.451", "--n", "70",
+                                 "--prior", "half-student-t(0.3,0.3)")
+        assert code == 0 and err == ""
+        upper = json.loads(out)["map_prior"]["intervals"][0]["upper"]
+        assert math.isfinite(upper["log"]) and upper["ratio"] is None
+
     def test_round_flag_rejects_zero(self, capsys):
         code, _, err = run_cli(capsys, "map", "--data", TOPCAT,
                                "--prior", "half-normal(0.25)", "--round", "0")

@@ -119,9 +119,66 @@ class TestExponentDensity:
         prior = make_prior("half-normal", 0.5)
         assert math.isinf(a0_density(prior, S1, 1.0))
         assert a0_density(prior, S1, 0.0) == 0.0
+        # a0 -> 0 is tau -> inf, where the density tends to tau^3 p(tau) / s1^2:
+        # infinite below tail index 2, 2 scale^2 / s1^2 at index 2, else 0
+        index_two = 2.0 * (0.5 / 0.45) ** 2
+        for family, shape, limit in [("half-cauchy", None, math.inf),
+                                     ("half-student-t", 1.9, math.inf),
+                                     ("lomax", 1.5, math.inf),
+                                     ("half-student-t", 2.0, index_two),
+                                     ("lomax", 2.0, index_two),
+                                     ("half-student-t", 2.1, 0.0),
+                                     ("half-student-t", 3.0, 0.0),
+                                     ("lomax", 3.0, 0.0),
+                                     ("exponential", None, 0.0),
+                                     ("uniform", None, 0.0)]:
+            prior = make_prior(family, 0.5, shape)
+            assert a0_density(prior, 0.45, 0.0) == pytest.approx(limit, rel=1e-12), \
+                prior.spec_string()
+            if limit == index_two:
+                assert a0_density(prior, 0.45, 1e-13) == pytest.approx(limit, rel=1e-4)
+
+
+BETA_BASES = [
+    make_prior("half-normal", 0.5),
+    make_prior("half-student-t", 0.4, 3.0),
+    make_prior("half-cauchy", 0.3),
+    make_prior("half-logistic", 0.6),
+    make_prior("exponential", 0.25),
+    make_prior("lomax", 0.7, 1.5),
+    make_prior("uniform", 1.2),
+]
 
 
 class TestBetaPrior:
+    """beta = sqrt(2) tau: the tau prior stretched by sqrt(2)."""
+
+    @pytest.fixture(params=BETA_BASES, ids=lambda p: p.spec_string())
+    def base(self, request):
+        return request.param
+
+    def test_family_is_preserved(self, base):
+        q = beta_prior_from_tau_prior(base)
+        assert (q.family, q.shape) == (base.family, base.shape)
+        assert q.scale == pytest.approx(math.sqrt(2.0) * base.scale, rel=1e-15)
+
+    def test_density_is_stretched_tau_density(self, base):
+        q = beta_prior_from_tau_prior(base)
+        x = math.sqrt(2.0) * base.quantile(np.linspace(0.001, 0.999, 401))
+        np.testing.assert_allclose(q.density(x),
+                                   base.density(x / math.sqrt(2.0)) / math.sqrt(2.0),
+                                   rtol=1e-12)
+
+    def test_cdf_and_quantiles_are_stretched(self, base):
+        q = beta_prior_from_tau_prior(base)
+        p = np.linspace(0.001, 0.999, 401)
+        x = math.sqrt(2.0) * base.quantile(p)
+        np.testing.assert_allclose(q.cdf(x), base.cdf(x / math.sqrt(2.0)), rtol=1e-12)
+        np.testing.assert_allclose(q.quantile(p), x, rtol=1e-12)
+        assert q.median == pytest.approx(math.sqrt(2.0) * base.median, rel=1e-12)
+        assert q.support_upper == pytest.approx(math.sqrt(2.0) * base.support_upper,
+                                                rel=1e-15)
+
     def test_median_scales_by_sqrt2(self, hn05):
         q = beta_prior_from_tau_prior(hn05)
         assert q.median == pytest.approx(math.sqrt(2.0) * hn05.median, rel=1e-12)

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from mapprior import ConfigurationError, make_prior, run_map_report, prior_comparison_table
-from mapprior.report import render_json, render_table_tsv
+from mapprior import (ConfigurationError, StudyEstimate, make_prior, run_map_report,
+                      prior_comparison_table)
+from mapprior.report import render_json, render_report_tsv, render_table_tsv
 
 
 def _walk_log_ratio_pairs(node):
@@ -118,6 +119,17 @@ class TestConfiguration:
         mc = a["map_prior"]["monte_carlo"]
         assert mc["mean_log"] == pytest.approx(topcat.y, abs=0.01)
         assert mc["sd_log"] == pytest.approx(0.362, abs=0.01)
+
+
+def test_overflowing_ratio_is_null_and_blank_in_tsv():
+    # exp() of this prior's upper 97.5% quantile (log 1734.7) overflows
+    report = run_map_report(StudyEstimate(y=0.0, se=0.451, n=70),
+                            make_prior("half-student-t", 0.3, 0.3))
+    upper = report["map_prior"]["intervals"][0]["upper"]
+    assert math.isfinite(upper["log"]) and upper["log"] > 709.0
+    assert upper["ratio"] is None
+    assert "map_prior.intervals[0].upper.ratio\t\n" in render_report_tsv(report)
+    assert json.loads(render_json(report)) == report
 
 
 class TestComparisonTable:
