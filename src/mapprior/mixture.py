@@ -16,9 +16,11 @@ The rule is built on the first evaluation, for the largest offset
 |theta - y1| + s1 that evaluation needs, rounded up to s1 times a power of
 two, and checked once against a refined copy of itself.  A later
 evaluation that reaches further replaces it with a rule built and checked
-for the larger reach; smaller reaches reuse it.  Quantiles invert the CDF
-by bisection on the same rule.  Heavy-tailed mixing priors are fully
-supported; only the variance becomes infinite for them, every other
+for the larger reach; smaller reaches reuse it.  Quantiles solve for the
+upper-tail offset on the same rule, one solve per symmetric pair of levels,
+by safeguarded Newton steps in log tail against log offset; each step reads
+the tail and the density from one pass.  Heavy-tailed mixing priors are
+fully supported; only the variance becomes infinite for them, every other
 evaluation stays finite.
 """
 
@@ -179,51 +181,96 @@ class MapPrior:
 
     # -- quantiles --------------------------------------------------------
 
-    def quantiles(self, p) -> np.ndarray:
-        """Vectorized inverse CDF by bracketed bisection.
+    def _tail_and_density(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """Tail mass beyond |theta - location| and the density at theta, from
+        one pass over the rule with the kernels of :meth:`cdf` and
+        :meth:`density`."""
+        def reduce(d, rule):
+            return np.stack([self._tail_kernel(d, rule.nodes) @ rule.weights,
+                             self._normal_kernel(d, rule.nodes) @ rule.weights], axis=1)
 
-        Converges to 1e-8 in probability; the initial bracket is grown from
-        the base standard error and the tau prior's matching tail quantile,
-        then widened geometrically if needed (heavy-tailed mixing priors put
-        extreme quantiles tens of units out).
+        values = self._map_blocks(reduce, theta)
+        return values[..., 0], values[..., 1]
+
+    def _tail_offsets(self, t: np.ndarray) -> np.ndarray:
+        """Offsets x >= 0 whose upper tail S(x) = P(theta > location + x) is
+        within ``_QUANTILE_TOL`` of each target t in (0, 1/2].
+
+        Newton steps in log S against log x, exact for power tails, kept
+        strictly inside a per-level bracket [lo, hi]; a step that leaves it
+        is replaced by the bracket's midpoint (geometric once lo > 0).  The
+        upper end is checked in the first pass and doubled while S(hi) > t.
+        A converged level is frozen: a step taken at round-off lands on a
+        bracket edge and the midpoint would throw the value away.
+        """
+        s1 = self.base_se
+        tau_q = np.asarray(self.tau_prior.quantile(1.0 - t), dtype=float)
+        lo = np.zeros_like(t)
+        hi = 10.0 * (s1 + 2.0 * tau_q)
+        x = -special.ndtri(t) * np.sqrt(s1 ** 2 + 2.0 * np.square(tau_q))
+        x = np.where(x < hi, x, 0.5 * hi)
+        unchecked = np.ones(t.size, dtype=bool)
+        todo = np.arange(t.size)
+        for passes in range(200):
+            check = todo[unchecked[todo]]
+            if passes >= 60 and check.size:
+                raise QuadratureError("could not bracket mixture quantiles")
+            tail, dens = self._tail_and_density(
+                self.location + np.concatenate([x[todo], hi[check]]))
+            s, f = tail[:todo.size], dens[:todo.size]
+            beyond = tail[todo.size:] > t[check]
+            lo[check[beyond]] = hi[check[beyond]]
+            hi[check[beyond]] *= 2.0
+            unchecked[check[~beyond]] = False
+
+            target, xs = t[todo], x[todo]
+            above = s > target
+            lo[todo] = np.where(above, np.maximum(lo[todo], xs), lo[todo])
+            hi[todo] = np.where(above, hi[todo], np.minimum(hi[todo], xs))
+            unchecked[todo[~above]] = False
+            err = np.abs(s - target)
+            unsolved = err > _QUANTILE_TOL
+            if not unsolved.any():
+                return x
+            todo, s, f, xs, target = (a[unsolved] for a in (todo, s, f, xs, target))
+            a, b = lo[todo], hi[todo]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                step = xs * np.exp(np.log(s / target) * s / (f * xs))
+            mid = np.where(a > 0.0, np.sqrt(a * b), 0.5 * (a + b))
+            x[todo] = np.where((step > a) & (step < b), step, mid)
+        raise QuadratureError("mixture quantile iteration stalled",
+                              achieved=float(np.max(err)))
+
+    def quantiles(self, p) -> np.ndarray:
+        """Vectorized inverse CDF, to 1e-8 in probability.
+
+        The mixture is symmetric about its location, so each level is solved
+        as an upper-tail offset for t = min(p, 1 - p), and a level and its
+        mirror share one solve.  Offsets come from safeguarded Newton steps
+        on the tail, starting from the normal quantile at the tau prior's
+        matching tail quantile, inside a bracket grown from the base standard
+        error and that tau quantile (heavy-tailed mixing priors put extreme
+        quantiles tens of units out).
         """
         p = np.asarray(p, dtype=float)
-        if np.any((p <= 0.0) | (p >= 1.0)):
+        if np.any(~((p > 0.0) & (p < 1.0))):
             raise InvalidParameterError("quantile needs probabilities in (0, 1)")
-        flat = np.atleast_1d(p).ravel()
-
-        tail_p = np.maximum(flat, 1.0 - flat)
-        half = 10.0 * (self.base_se + 2.0 * np.asarray(self.tau_prior.quantile(tail_p)))
-        lo = self.location - half
-        hi = self.location + half
-        for _ in range(60):
-            too_high = self.cdf(lo) > flat
-            too_low = self.cdf(hi) < flat
-            if not (too_high.any() or too_low.any()):
-                break
-            lo = np.where(too_high, self.location - 2.0 * (self.location - lo), lo)
-            hi = np.where(too_low, self.location + 2.0 * (hi - self.location), hi)
-        else:
-            raise QuadratureError("could not bracket mixture quantiles")
-
-        mid = 0.5 * (lo + hi)
-        err = np.inf
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            c = self.cdf(mid)
-            err = float(np.max(np.abs(c - flat)))
-            if err <= _QUANTILE_TOL:
-                break
-            go_up = c < flat
-            lo = np.where(go_up, mid, lo)
-            hi = np.where(go_up, hi, mid)
-        else:
-            raise QuadratureError("quantile bisection stalled", achieved=err)
-
-        exact_median = flat == 0.5
-        if exact_median.any():
-            mid = np.where(exact_median, self.location, mid)
-        return mid.reshape(p.shape) if p.ndim else mid[0]
+        flat = p.ravel()
+        if flat.size == 0:
+            return np.empty(p.shape)
+        t = np.minimum(flat, 1.0 - flat)
+        # a level and its mirror rarely give equal targets (1 - 0.95 is not
+        # 0.05 in floats); targets within the spacing of floats near 1 share
+        # one solve
+        order = np.argsort(t)
+        ranked = t[order]
+        first = np.concatenate(([True], np.diff(ranked) > np.finfo(float).eps))
+        level = np.empty(t.size, dtype=int)
+        level[order] = np.cumsum(first) - 1
+        x = self._tail_offsets(ranked[first])[level]
+        q = np.where(flat > 0.5, self.location + x, self.location - x)
+        q = np.where(flat == 0.5, self.location, q)
+        return q.reshape(p.shape) if p.ndim else q[0]
 
     def quantile(self, p: float) -> float:
         return float(self.quantiles(p))

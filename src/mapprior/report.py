@@ -181,13 +181,16 @@ def prior_comparison_table(source_se: float,
     for prior in tau_priors:
         mp = MapPrior(location=0.0, base_variance=float(source_se) ** 2, tau_prior=prior)
         sd = mp.sd()
+        # the ESS ladder reaches 1 - 5e-7, so the table's levels then fall
+        # inside the tau rule it builds
+        ess = ess_for_map_prior(mp, uisd_value)
         quants = mp.quantiles(np.asarray(quantile_levels, dtype=float))
         rows.append({
             "family": prior.family,
             "scale": round12(prior.scale),
             "shape": round12(prior.shape) if prior.shape is not None else None,
             "tau_median": round12(prior.median),
-            "ess_elir": round12(ess_for_map_prior(mp, uisd_value)),
+            "ess_elir": round12(ess),
             "sd": round12(sd) if math.isfinite(sd) else None,
             "quantiles": {f"{lv:g}": round12(float(q))
                           for lv, q in zip(quantile_levels, quants)},

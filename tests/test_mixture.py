@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from conftest import common_median, mixture_cdf, normal_pdf
+from conftest import common_median, mixture_cdf, normal_pdf, table2_priors
 from mapprior import (
     InvalidParameterError,
     MapPrior,
@@ -19,8 +19,14 @@ from mapprior import (
     scale_for_median,
     uisd,
 )
-from mapprior import mixture
+from mapprior import QuadratureError, mixture
+from mapprior.information import _probability_ladder
 from mapprior.quadrature import mix_against_prior
+
+#: every family, with a finite-variance shape where one is needed
+FAMILIES = [("half-normal", None), ("half-student-t", 5.0), ("half-cauchy", None),
+            ("half-logistic", None), ("exponential", None), ("lomax", 4.0),
+            ("uniform", None)]
 
 ALPORT = StudyEstimate(y=-0.635, se=0.451, n=70, label="observational")
 TOPCAT = StudyEstimate(y=-0.117, se=0.077, n=3445, label="TOPCAT")
@@ -148,10 +154,63 @@ class TestQuantiles:
         p = np.array([0.001, 0.05, 0.3, 0.7, 0.95, 0.999])
         np.testing.assert_allclose(alport_map.cdf(alport_map.quantiles(p)), p, atol=2e-8)
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 2.0])
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 2.0, math.nan])
     def test_rejects_out_of_range(self, alport_map, p):
         with pytest.raises(InvalidParameterError):
             alport_map.quantile(p)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_input(self, alport_map, shape):
+        q = alport_map.quantiles(np.empty(shape))
+        assert q.shape == shape and q.dtype == float
+
+    def test_mirror_levels_are_exact(self):
+        # at location 0 a level and its mirror are one offset with two signs
+        ladder = _probability_ladder()
+        pairs = len(ladder) // 2
+        for prior in table2_priors():
+            q = MapPrior(0.0, 0.451 ** 2, prior).quantiles(ladder)
+            np.testing.assert_array_equal(q[:pairs], -q[::-1][:pairs])
+
+    def test_pass_count_per_ladder(self, monkeypatch):
+        passes, cdf_calls = [], []
+        solve_pass, cdf = MapPrior._tail_and_density, MapPrior.cdf
+
+        def counting_pass(self, theta):
+            passes.append(np.size(theta))
+            return solve_pass(self, theta)
+
+        def counting_cdf(self, theta):
+            cdf_calls.append(np.size(theta))
+            return cdf(self, theta)
+
+        monkeypatch.setattr(MapPrior, "_tail_and_density", counting_pass)
+        monkeypatch.setattr(MapPrior, "cdf", counting_cdf)
+        for prior in table2_priors():
+            passes.clear()
+            MapPrior(0.0, 0.451 ** 2, prior).quantiles(_probability_ladder())
+            assert 1 <= len(passes) <= 8, prior
+        assert not cdf_calls
+
+    @pytest.mark.parametrize("family,shape", FAMILIES)
+    def test_contract_against_scipy_oracle(self, family, shape):
+        p = np.array([5e-7, 0.005, 0.025, 0.975, 0.995, 1.0 - 5e-7])
+        s1 = 0.451
+        for ratio in (1e-3, 1e-1, 1.0, 10.0, 100.0):
+            # ratio = source SE / prior median
+            prior = make_prior(family, scale_for_median(family, s1 / ratio, shape), shape)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                q = MapPrior(0.3, s1 ** 2, prior).quantiles(p)
+            for prob, value in zip(p, q):
+                assert abs(mixture_cdf(prior, 0.3, s1, float(value)) - prob) <= 1e-8
+
+    def test_stall_is_a_typed_error(self):
+        # near 1e3 the float spacing moves the CDF by far more than 1e-8
+        mp = MapPrior(1e3, 1e-24, make_prior("uniform", 1e-14))
+        with pytest.raises(QuadratureError, match="stalled") as caught:
+            mp.quantile(0.3)
+        assert caught.value.achieved > 1e-8
 
     def test_tail_ordering_heavier_prior_wider(self, hn05):
         target = hn05.median
@@ -235,10 +294,6 @@ def _floored_error(got, ref, floor=0.0):
 
 class TestMixingRule:
     """The per-prior tau rule against per-call adaptive quadrature."""
-
-    FAMILIES = [("half-normal", None), ("half-student-t", 5.0), ("half-cauchy", None),
-                ("half-logistic", None), ("exponential", None), ("lomax", 4.0),
-                ("uniform", None)]
 
     @pytest.mark.parametrize("family,shape", FAMILIES)
     @pytest.mark.parametrize("ratio", [0.1, 1.0, 10.0])
