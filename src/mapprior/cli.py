@@ -26,11 +26,10 @@ from .errors import (
     ConfigurationError,
     DataFormatError,
     EssInstabilityError,
-    GridCoverageError,
     InvalidParameterError,
     QuadratureError,
 )
-from .mixture import MapPrior
+from .mixture import MapPrior, normal_pdf
 from .priors import parse_prior_spec
 from .report import (
     render_json,
@@ -41,7 +40,7 @@ from .report import (
     prior_comparison_table,
     run_map_report,
 )
-from .shrink import _normal_pdf, shrinkage_posterior
+from .shrink import posterior_mixture
 from .study import StudyEstimate
 
 _GRID_DISTS = ("map-density", "map-cdf", "map-log-density", "posterior",
@@ -271,12 +270,11 @@ def _grid_function(args):
             raise ConfigurationError("--dist posterior needs --data")
         source = _pick(studies, args.source, 0, args.data)
         target = _pick(studies, args.target, 1, args.data)
-        post = shrinkage_posterior(source, target, prior)
-        return (lambda x: np.interp(x, post.grid, post.density, left=0.0, right=0.0)), (None, None)
+        return posterior_mixture(MapPrior.from_study(source, prior), target).density, (None, None)
 
     source = _resolve_source(args)
     if args.dist == "likelihood":
-        return (lambda x: _normal_pdf(x, source.y, source.variance)), (None, None)
+        return (lambda x: normal_pdf(x - source.y, 1.0 / source.variance)), (None, None)
 
     mp = MapPrior.from_study(source, prior)
     if args.dist == "map-density":
@@ -312,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DataFormatError, InvalidParameterError, ConfigurationError) as exc:
         print(f"mapprior: error: {exc}", file=sys.stderr)
         return 1
-    except (QuadratureError, GridCoverageError, EssInstabilityError) as exc:
+    except (QuadratureError, EssInstabilityError) as exc:
         print(f"mapprior: numeric failure: {exc}", file=sys.stderr)
         return 2
     return 0

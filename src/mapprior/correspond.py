@@ -14,10 +14,10 @@ The same two-study model can be reparameterized as a bias-allowance
 source estimate is offset from alpha by a normal bias with standard
 deviation beta = sqrt(2) tau.  Every heterogeneity family is a scale family,
 so beta's prior is the tau prior's family at sqrt(2) times its scale.
-``reference_model_posterior`` computes alpha's posterior directly on that
-formulation, on the grid :func:`~mapprior.shrink.shrinkage_posterior`
-builds; it must agree with the shrinkage posterior, which is what makes it
-an independent oracle.
+``reference_model_posterior`` integrates alpha's posterior directly on that
+formulation with the adaptive engine, on the grid that
+:func:`~mapprior.shrink.shrinkage_posterior` tabulates; its agreement with
+the exact shrinkage mixture is what makes it an independent oracle.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .priors import HeterogeneityPrior
-from .shrink import (ShrinkagePosterior, _mix_by_block, _normal_pdf, _normalized,
-                     shrinkage_posterior)
+from .mixture import normal_pdf
+from .shrink import ShrinkagePosterior, _mix_by_block, _normalized, shrinkage_posterior
 from .study import StudyEstimate
 
 __all__ = [
@@ -119,10 +119,10 @@ def reference_model_posterior(source: StudyEstimate, target: StudyEstimate,
     y1, v1 = source.y, source.variance
 
     def source_factor(col: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        return _normal_pdf(col, y1, v1 + np.square(beta))
+        return normal_pdf(col - y1, 1.0 / (v1 + np.square(beta)))
 
     marginal = _mix_by_block(
         post.grid, source_factor, beta_prior_from_tau_prior(tau_prior),
         0.5 * source.se, lambda col: float(np.max(np.abs(col - y1))) + source.se)
-    values = marginal * _normal_pdf(post.grid, target.y, target.variance)
+    values = marginal * normal_pdf(post.grid - target.y, 1.0 / target.variance)
     return _normalized(post.grid, values, post.source_map, target)

@@ -2,8 +2,8 @@
 
 Validation problems (bad parameters, malformed data, missing configuration)
 derive from ``ValueError``; numerical problems (quadrature that did not reach
-tolerance, grids that cannot be widened enough, unstable information
-integrals) derive from ``ArithmeticError``.  The CLI maps the former to exit
+tolerance, an oracle posterior whose mass vanished on its grid, unstable
+information integrals) derive from ``ArithmeticError``.  The CLI maps the former to exit
 code 1 and the latter to exit code 2.
 """
 
@@ -37,7 +37,7 @@ class QuadratureError(MapPriorError, ArithmeticError):
 
 
 class GridCoverageError(MapPriorError, ArithmeticError):
-    """The posterior grid could not be widened to cover the required mass."""
+    """An oracle route's posterior mass vanished on the grid it was given."""
 
 
 class EssInstabilityError(MapPriorError, ArithmeticError):

@@ -9,9 +9,9 @@ effect is the normal scale mixture
 
 :class:`MapPrior` represents that mixture exactly (location y1, base variance
 s1^2, mixing prior on tau).  Density, CDF and log-density curvature are
-mixing integrals over tau, evaluated with one tau mixing rule per
-``MapPrior`` (see :mod:`mapprior.quadrature`): each becomes
-``kernel(theta - y1, nodes) @ weights`` over blocks of 512 theta values.
+mixing integrals over tau, evaluated on one tau mixing rule per ``MapPrior``
+(see :mod:`mapprior.quadrature`), where the prior is a finite normal mixture,
+:class:`NormalMixture` (the shrinkage posterior is one too).
 The rule is built on the first evaluation, for the largest offset
 |theta - y1| + s1 that evaluation needs, rounded up to s1 times a power of
 two, and checked once against a refined copy of itself.  A later
@@ -37,17 +37,93 @@ from .priors import HeterogeneityPrior
 from .quadrature import MixingRule, mixing_rule
 from .study import StudyEstimate
 
-__all__ = ["MapPrior", "conditional_moments"]
+__all__ = ["MapPrior", "NormalMixture", "conditional_moments", "normal_pdf"]
 
 #: theta values evaluated per block, bounds peak memory
 _BLOCK = 512
 
-#: CDF tails below this are indistinguishable from zero for every consumer
-#: (the quantile tolerance is 1e-8), so the rule check holds them absolutely
-_TAIL_FLOOR = 1e-13
-
 #: probability tolerance for quantile inversion
 _QUANTILE_TOL = 1e-8
+
+
+def normal_pdf(offset, precision):
+    """Normal density at ``offset`` from the mean, for precision 1/variance;
+    0 where the precision is 0 (an infinite variance)."""
+    return np.exp(-0.5 * np.square(offset) * precision) * np.sqrt(precision / (2.0 * math.pi))
+
+
+@dataclass(frozen=True)
+class NormalMixture:
+    """Finite normal mixture: component k has weight ``weights[k]``, mean
+    ``center + offsets[k]`` (``offsets`` may be one number for all) and
+    precision ``precisions[k]``.  Every evaluation is one pass over the
+    components, ``_BLOCK`` rows at a time."""
+
+    center: float
+    weights: np.ndarray
+    offsets: np.ndarray | float
+    precisions: np.ndarray
+
+    def _reduce(self, x: np.ndarray, lower=None) -> np.ndarray:
+        """Density at offsets ``x`` from the center or, given ``lower``, the
+        lower (where True) or upper tail and the density."""
+        def block(i):
+            z = x[i:i + _BLOCK, None] - self.offsets
+            if lower is None:
+                return normal_pdf(z, self.precisions) @ self.weights
+            z *= np.where(lower[i:i + _BLOCK, None], 1.0, -1.0)
+            return np.stack([special.ndtr(z * np.sqrt(self.precisions)) @ self.weights,
+                             normal_pdf(z, self.precisions) @ self.weights], axis=1)
+
+        return np.concatenate([block(i) for i in range(0, max(x.size, 1), _BLOCK)])
+
+    def density(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        return self._reduce(theta.ravel() - self.center).reshape(theta.shape)[()]
+
+    def cdf(self, theta):
+        """CDF, through the tail on the far side of the mean for accuracy."""
+        theta = np.asarray(theta, dtype=float)
+        lower = theta.ravel() <= self.mean()
+        tail = self._reduce(theta.ravel() - self.center, lower)[:, 0]
+        return np.where(lower, tail, 1.0 - tail).reshape(theta.shape)[()]
+
+    def mean(self) -> float:
+        return float(self.center + np.sum(self.weights * self.offsets))
+
+    def quantiles(self, p) -> np.ndarray:
+        """Inverse CDF, to ``_QUANTILE_TOL`` relative to each level's nearer
+        tail t, by Newton steps in log tail from the normal approximation.
+        No component mean lies outside the offsets' range, nor is any wider
+        than the widest, so Phi^-1(1 - t) widest standard deviations beyond
+        that range bracket the quantile; a step that leaves the bracket
+        (narrowed as it goes) is replaced by its midpoint."""
+        p = np.asarray(p, dtype=float).ravel()
+        if np.any(~((p > 0.0) & (p < 1.0))):
+            raise InvalidParameterError("quantile needs probabilities in (0, 1)")
+        lower, t = p <= 0.5, np.minimum(p, 1.0 - p)
+        spread = -special.ndtri(t) / math.sqrt(np.min(self.precisions))
+        lo, hi = np.min(self.offsets) - spread, np.max(self.offsets) + spread
+        mean = self.mean() - self.center
+        var = self.weights @ (1.0 / self.precisions + np.square(self.offsets - mean))
+        x = np.clip(mean + math.sqrt(var) * special.ndtri(p), lo, hi)
+        todo = np.arange(p.size)
+        for _ in range(200):
+            xs, low, target = x[todo], lower[todo], t[todo]
+            tail, dens = self._reduce(xs, low).T
+            past = (tail > target) == low      # x lies beyond the quantile
+            hi[todo], lo[todo] = np.where(past, xs, hi[todo]), np.where(past, lo[todo], xs)
+            err = np.abs(tail / target - 1.0)
+            if np.all(err <= _QUANTILE_TOL):
+                return self.center + x
+            todo, xs, low, target, tail, dens = (
+                a[err > _QUANTILE_TOL] for a in (todo, xs, low, target, tail, dens))
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                step = xs + np.where(low, -1.0, 1.0) * np.log(tail / target) * tail / dens
+            a, b = lo[todo], hi[todo]
+            x[todo] = np.where((step > a) & (step < b), step, 0.5 * (a + b))
+        raise QuadratureError("mixture quantile iteration stalled",
+                              achieved=float(np.max(err)))
 
 
 def conditional_moments(study: StudyEstimate, tau: float) -> tuple[float, float]:
@@ -102,13 +178,6 @@ class MapPrior:
         with np.errstate(over="ignore"):
             return 1.0 / self._mixture_variances(tau)
 
-    def _normal_kernel(self, d: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        inv = self._inverse_variances(tau)
-        return np.exp(-0.5 * np.square(d) * inv) * np.sqrt(inv / (2.0 * math.pi))
-
-    def _tail_kernel(self, d: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        return special.ndtr(-np.abs(d) * np.sqrt(self._inverse_variances(tau)))
-
     # -- pointwise evaluations -------------------------------------------
 
     def _mixing_rule(self, reach: float) -> MixingRule:
@@ -117,80 +186,61 @@ class MapPrior:
         if rule is None or rule.reach < reach:
             unit = self.base_se
             reach = unit * 2.0 ** math.ceil(math.log2(reach / unit))
-            rule = mixing_rule(self.tau_prior, unit, reach,
-                               ((self._normal_kernel, 0.0),
-                                (self._tail_kernel, _TAIL_FLOOR)))
+            inv = self._inverse_variances
+            rule = mixing_rule(self.tau_prior, unit, reach, (
+                (lambda d, tau: normal_pdf(d, inv(tau)), 0.0),
+                (lambda d, tau: special.ndtr(-np.abs(d) * np.sqrt(inv(tau))), 0.0)))
             object.__setattr__(self, "_rule", rule)
         return rule
 
-    def _map_blocks(self, reduce, theta):
-        """Apply ``reduce(d, rule)`` to the offsets of theta from the
-        location, in blocks of at most ``_BLOCK`` rows.
-
-        ``d`` is a (k, 1) array of offsets; ``reduce`` returns an array
-        whose first axis has length k.  The result keeps theta's shape in
-        front of any trailing axes ``reduce`` adds.
-        """
-        theta = np.asarray(theta, dtype=float)
-        offsets = np.atleast_1d(theta).ravel() - self.location
-        finite = np.abs(offsets[np.isfinite(offsets)])
-        rule = self._mixing_rule(float(np.max(finite, initial=0.0)) + self.base_se)
-        pieces = [reduce(offsets[start:start + _BLOCK, None], rule)
-                  for start in range(0, max(offsets.size, 1), _BLOCK)]
-        out = np.concatenate(pieces)
-        return out.reshape(theta.shape + out.shape[1:])
+    def _on_rule(self, theta) -> NormalMixture:
+        """The mixture on the tau rule that serves every finite ``theta``."""
+        reach = np.abs(np.asarray(theta, dtype=float) - self.location)
+        rule = self._mixing_rule(float(np.max(reach[np.isfinite(reach)], initial=0.0))
+                                 + self.base_se)
+        return NormalMixture(self.location, rule.weights, 0.0,
+                             self._inverse_variances(rule.nodes))
 
     def density(self, theta):
         """Mixture density, symmetric about the location; vectorized."""
-        result = self._map_blocks(
-            lambda d, rule: self._normal_kernel(d, rule.nodes) @ rule.weights, theta)
-        return float(result) if result.ndim == 0 else result
+        return self._on_rule(theta).density(theta)
 
     def cdf(self, theta):
         """Mixture CDF; evaluated through the nearer tail for accuracy."""
-        theta = np.asarray(theta, dtype=float)
-        tail = self._map_blocks(
-            lambda d, rule: self._tail_kernel(d, rule.nodes) @ rule.weights, theta)
-        result = np.where(theta <= self.location, tail, 1.0 - tail)
-        return float(result) if result.ndim == 0 else result
+        return self._on_rule(theta).cdf(theta)
 
     def _density_and_curvature(self, theta) -> tuple[np.ndarray, np.ndarray]:
         """Density and second derivative of the log density, from one pass
         over the rule: the density and its first two theta derivatives are
         three contractions of the same exponential matrix."""
-        def reduce(d, rule):
-            inv = self._inverse_variances(rule.nodes)
-            scaled = rule.weights * np.sqrt(inv / (2.0 * math.pi))
-            moments = np.exp(-0.5 * np.square(d) * inv) @ np.stack(
-                [scaled, scaled * inv, scaled * np.square(inv)], axis=1)
-            p, m1, m2 = moments.T
-            offset = d[:, 0]
-            return np.stack([p, -offset * m1, np.square(offset) * m2 - m1], axis=1)
+        theta = np.asarray(theta, dtype=float)
+        mix = self._on_rule(theta)
+        inv = mix.precisions
+        scaled = mix.weights * np.sqrt(inv / (2.0 * math.pi))
+        columns = np.stack([scaled, scaled * inv, scaled * np.square(inv)], axis=1)
+        d = np.atleast_1d(theta).ravel() - self.location
 
-        values = self._map_blocks(reduce, theta)
-        p, p1, p2 = np.moveaxis(values, -1, 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            curv = p2 / p - np.square(p1 / p)
-        return p, curv
+        def block(i):
+            e = -0.5 * np.square(d[i:i + _BLOCK, None]) * inv
+            return np.exp(e, out=e) @ columns      # in place, to hold one matrix
+
+        p, m1, m2 = np.concatenate([block(i) for i in range(0, max(d.size, 1), _BLOCK)]).T
+        with np.errstate(divide="ignore", invalid="ignore"):     # p''/p - (p'/p)^2
+            curv = (np.square(d) * m2 - m1) / p - np.square(-d * m1 / p)
+        return p.reshape(theta.shape), curv.reshape(theta.shape)
 
     def log_density_curvature(self, theta):
         """Second derivative of the log density, by differentiation under
         the integral; the analytic local information behind the ESS."""
-        curv = self._density_and_curvature(theta)[1]
-        return float(curv) if np.ndim(curv) == 0 else curv
+        return self._density_and_curvature(theta)[1][()]
 
     # -- quantiles --------------------------------------------------------
 
     def _tail_and_density(self, theta) -> tuple[np.ndarray, np.ndarray]:
         """Tail mass beyond |theta - location| and the density at theta, from
-        one pass over the rule with the kernels of :meth:`cdf` and
-        :meth:`density`."""
-        def reduce(d, rule):
-            return np.stack([self._tail_kernel(d, rule.nodes) @ rule.weights,
-                             self._normal_kernel(d, rule.nodes) @ rule.weights], axis=1)
-
-        values = self._map_blocks(reduce, theta)
-        return values[..., 0], values[..., 1]
+        one pass over the rule."""
+        d = np.abs(np.asarray(theta, dtype=float) - self.location)
+        return tuple(self._on_rule(theta)._reduce(d, np.zeros(d.size, dtype=bool)).T)
 
     def _tail_offsets(self, t: np.ndarray) -> np.ndarray:
         """Offsets x >= 0 whose upper tail S(x) = P(theta > location + x) is

@@ -47,10 +47,6 @@ __all__ = [
 ]
 
 
-def _norm_cdf(x):
-    return special.ndtr(x)
-
-
 def _norm_quantile(p):
     return special.ndtri(p)
 

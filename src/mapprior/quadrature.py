@@ -9,9 +9,9 @@ Mixing rules
 :func:`mixing_rule` builds a fixed set of tau nodes whose weights are the
 Gauss-Legendre weight times the prior density times the Jacobian, so that a
 mixing integral of any kernel becomes ``kernel(d, nodes) @ weights``.  A
-:class:`~mapprior.mixture.MapPrior` builds one lazily, on its first
-evaluation, and reuses it for every density, CDF, curvature, quantile and
-ESS evaluation after that.
+:class:`~mapprior.mixture.MapPrior` builds one lazily and reuses it for every
+density, CDF, curvature, quantile and ESS evaluation; a shrinkage posterior
+builds its own, checked against the posterior's density and tail kernels.
 
 Layout.  A first panel covers [0, t0], with t0 half the smaller of the
 inner scale (the source SE, below which the normal kernel is flat in tau)

@@ -20,7 +20,7 @@ from .errors import ConfigurationError
 from .information import ess_for_map_prior, uisd
 from .mixture import MapPrior
 from .priors import HeterogeneityPrior
-from .shrink import posterior_summary, shrinkage_posterior, width_ratio
+from .shrink import interval_width_ratio, posterior_mixture, posterior_summaries
 from .study import StudyEstimate
 
 __all__ = [
@@ -148,17 +148,16 @@ def run_map_report(source: StudyEstimate,
         report["shrinkage"] = None
         return report
 
-    post = shrinkage_posterior(source, target, tau_prior)
+    summaries = posterior_summaries(posterior_mixture(map_prior, target), levels)
     shrink_intervals = []
-    for level in levels:
-        summary = posterior_summary(post, level)
+    for level, summary in zip(levels, summaries):
         shrink_intervals.append({
             "level": level,
             "lower": _log_ratio(summary.lower),
             "upper": _log_ratio(summary.upper),
-            "width_ratio": round12(width_ratio(post, target, level)),
+            "width_ratio": round12(interval_width_ratio(summary, target, level)),
         })
-    head = posterior_summary(post, levels[0])
+    head = summaries[0]
     report["shrinkage"] = {
         "median": _log_ratio(head.median),
         "intervals": shrink_intervals,

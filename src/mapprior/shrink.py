@@ -1,89 +1,33 @@
 """Two-study shrinkage: combine a predictive prior with a new likelihood.
 
-The target study's posterior is the scale-mixture prior contributed by the
-source study multiplied by the target's normal likelihood, represented on a
-dense grid and normalized by the trapezoidal rule.  :func:`shrinkage_posterior`
-is the only place a posterior grid is built: it widens the covering grid
-until the edges are negligible and then tightens it onto the support.  The
-independent routes evaluate their own densities on that grid, so pointwise
-comparisons between routes are meaningful.  The joint-model route
-(:func:`mac_oracle`) conditions on the heterogeneity instead, weighting each
-tau by its marginal likelihood and mixing the tau-conditional normal
-posteriors, and must agree with the prior-times-likelihood route to
-numerical precision; the two constructions are mathematically identical.
+Given tau, the predictive prior times the target's normal likelihood is a
+normal, so on a tau mixing rule the target's posterior is a finite normal
+mixture whose summaries need no grid.  :func:`shrinkage_posterior` tabulates
+its density for the independent routes, which evaluate their own densities
+on that grid; :func:`mac_oracle` keeps its own algebra on the adaptive engine.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import special
 
-from .errors import GridCoverageError, InvalidParameterError
-from .mixture import _BLOCK, MapPrior
+from .errors import GridCoverageError, InvalidParameterError, QuadratureError
+from .mixture import _BLOCK, MapPrior, NormalMixture, normal_pdf
 from .priors import HeterogeneityPrior
-from .quadrature import mix_against_prior
+from .quadrature import mix_against_prior, mixing_rule
 from .study import StudyEstimate
 
-__all__ = [
-    "ShrinkagePosterior",
-    "PosteriorSummary",
-    "shrinkage_posterior",
-    "posterior_summary",
-    "mac_oracle",
-    "width_ratio",
-    "posterior_grid",
-]
+__all__ = ["PosteriorSummary", "ShrinkagePosterior", "mac_oracle", "posterior_mixture",
+           "posterior_summaries", "posterior_summary", "shrinkage_posterior", "width_ratio"]
 
 #: default number of grid points for posterior densities
 GRID_POINTS = 4001
-
-#: grid widenings attempted before giving up
-_MAX_WIDENINGS = 8
-
-#: edge density above this fraction of the peak triggers widening
-_EDGE_FRACTION = 1e-12
-
-#: density below this fraction of the peak counts as outside the support
-#: during grid refinement (keeps well over the required 0.99999 mass)
-_SUPPORT_FRACTION = 1e-14
-
-#: refinement stops once the support fills this share of the grid
-_SUPPORT_FILL = 0.5
-
-
-@dataclass(frozen=True)
-class ShrinkagePosterior:
-    """Grid-represented posterior density for the target study's effect."""
-
-    grid: np.ndarray
-    density: np.ndarray
-    source_map: MapPrior
-    target: StudyEstimate
-
-    def __post_init__(self):
-        self.grid.setflags(write=False)
-        self.density.setflags(write=False)
-
-    def cdf_values(self) -> np.ndarray:
-        """Trapezoidal cumulative distribution along the grid."""
-        steps = np.diff(self.grid)
-        increments = 0.5 * steps * (self.density[1:] + self.density[:-1])
-        cdf = np.concatenate(([0.0], np.cumsum(increments)))
-        return cdf / cdf[-1]
-
-    def quantile(self, p: float) -> float:
-        if not 0.0 < p < 1.0:
-            raise InvalidParameterError("quantile needs probabilities in (0, 1)")
-        cdf = self.cdf_values()
-        return float(np.interp(p, cdf, self.grid))
-
-    def mean(self) -> float:
-        return float(np.trapezoid(self.grid * self.density, self.grid))
 
 
 class PosteriorSummary(NamedTuple):
@@ -93,28 +37,64 @@ class PosteriorSummary(NamedTuple):
     prob_below_zero: float
 
 
-def posterior_grid(source: StudyEstimate, target: StudyEstimate,
-                   tau_prior: HeterogeneityPrior,
-                   points: int = GRID_POINTS) -> np.ndarray:
-    """Evaluation grid shared by every posterior route.
+def posterior_mixture(source_map: MapPrior, target: StudyEstimate) -> NormalMixture:
+    """The target effect's posterior under the predictive prior ``source_map``.
 
-    Spans the precision-weighted center of the two estimates by +/- 12 times
-    the largest relevant scale (either standard error, the mixture standard
-    deviation when finite, or three times the tau prior's 99% quantile, which
-    keeps heavy-tailed priors covered).
-    """
-    w1, w2 = 1.0 / source.variance, 1.0 / target.variance
-    center = (source.y * w1 + target.y * w2) / (w1 + w2)
-    map_sd = MapPrior.from_study(source, tau_prior).sd()
-    scales = [source.se, target.se, 3.0 * float(tau_prior.quantile(0.99))]
-    if math.isfinite(map_sd):
-        scales.append(map_sd)
-    half = 12.0 * max(scales)
-    return np.linspace(center - half, center + half, points)
+    Each tau node gives the conjugate normal of Normal(y1, s1^2 + 2 tau^2) and
+    the likelihood Normal(y2; theta, s2^2), weighted by the node's weight times
+    Normal(y2; y1, s1^2 + s2^2 + 2 tau^2); weights below 1e-16 of the total are
+    dropped.  The rule is checked on both sides of y2 out to 8 target SEs
+    beyond y1, past which no component reaches."""
+    y2, v2 = target.y, target.variance
+    gap = source_map.location - y2
+
+    def components(tau):
+        inv = source_map._inverse_variances(tau)   # 0 at tau = inf
+        share = inv / (inv + 1.0 / v2)
+        return normal_pdf(gap, share / v2), gap * share, inv + 1.0 / v2
+
+    def kernel(d, tau, tails):
+        # the lower tail at y2 - d and the upper at y2 + d, or the density
+        weight, offsets, precisions = components(tau)
+        z = np.concatenate([-d - offsets, offsets - d])
+        return weight * (special.ndtr(z * np.sqrt(precisions)) if tails
+                         else normal_pdf(z, precisions))
+
+    rule = mixing_rule(source_map.tau_prior, min(source_map.base_se, target.se),
+                       abs(gap) + 8.0 * target.se,
+                       [(functools.partial(kernel, tails=tails), 0.0) for tails in (0, 1)])
+    weight, offsets, precisions = components(rule.nodes)
+    weights = weight * rule.weights
+    keep = weights > 1e-16 * np.sum(weights)
+    if not keep.any():
+        raise QuadratureError("every posterior component weight underflows: the "
+                              "estimates conflict beyond floating-point range")
+    return NormalMixture(y2, weights[keep] / np.sum(weights[keep]), offsets[keep],
+                         precisions[keep])
 
 
-def _normal_pdf(x: np.ndarray, mean, var) -> np.ndarray:
-    return np.exp(-0.5 * np.square(x - mean) / var) / np.sqrt(2.0 * math.pi * var)
+@dataclass(frozen=True)
+class ShrinkagePosterior:
+    """A posterior density on a grid, for plotting and comparing routes;
+    summaries read the :attr:`mixture` of ``source_map`` and ``target``."""
+
+    grid: np.ndarray
+    density: np.ndarray
+    source_map: MapPrior
+    target: StudyEstimate
+    _mixture: NormalMixture | None = field(default=None, init=False, repr=False,
+                                           compare=False)
+
+    def __post_init__(self):
+        self.grid.setflags(write=False)
+        self.density.setflags(write=False)
+
+    @property
+    def mixture(self) -> NormalMixture:
+        if self._mixture is None:
+            object.__setattr__(self, "_mixture",
+                               posterior_mixture(self.source_map, self.target))
+        return self._mixture
 
 
 def _normalized(grid: np.ndarray, unnorm: np.ndarray, source_map: MapPrior,
@@ -129,52 +109,21 @@ def _normalized(grid: np.ndarray, unnorm: np.ndarray, source_map: MapPrior,
 def shrinkage_posterior(source: StudyEstimate, target: StudyEstimate,
                         tau_prior: HeterogeneityPrior,
                         points: int = GRID_POINTS) -> ShrinkagePosterior:
-    """Posterior for the target effect: predictive prior times likelihood.
-
-    The grid starts from :func:`posterior_grid`, widens while the edge
-    density is non-negligible relative to the peak, then tightens onto the
-    actual support: one fixed-size grid cannot otherwise resolve extreme
-    scale ratios (a nearly flat likelihood leaves the posterior orders of
-    magnitude narrower than the covering span).
-    """
+    """Posterior for the target effect: predictive prior times likelihood,
+    its exact density tabulated at ``points`` equally spaced values between
+    its 1e-12 and 1 - 1e-12 quantiles."""
     source_map = MapPrior.from_study(source, tau_prior)
-
-    def unnorm_fn(grid: np.ndarray) -> np.ndarray:
-        return _normal_pdf(grid, target.y, target.variance) * source_map.density(grid)
-
-    grid = posterior_grid(source, target, tau_prior, points)
-    center = 0.5 * (grid[0] + grid[-1])
-    half = grid[-1] - center
-    unnorm = None
-    for _ in range(_MAX_WIDENINGS):
-        unnorm = unnorm_fn(grid)
-        peak = float(np.max(unnorm))
-        if peak > 0.0 and max(unnorm[0], unnorm[-1]) <= _EDGE_FRACTION * peak:
-            break
-        half *= 2.0
-        grid = np.linspace(center - half, center + half, points)
-    else:
-        raise GridCoverageError(
-            "posterior grid edges stayed non-negligible after maximum widening")
-
-    for _ in range(3):
-        inside = np.nonzero(unnorm > _SUPPORT_FRACTION * np.max(unnorm))[0]
-        lo = max(int(inside[0]) - 3, 0)
-        hi = min(int(inside[-1]) + 3, points - 1)
-        if hi - lo >= _SUPPORT_FILL * (points - 1):
-            break
-        grid = np.linspace(grid[lo], grid[hi], points)
-        unnorm = unnorm_fn(grid)
-    return _normalized(grid, unnorm, source_map, target)
+    mixture = posterior_mixture(source_map, target)
+    grid = np.linspace(*mixture.quantiles([1e-12, 1.0 - 1e-12]), points)
+    post = ShrinkagePosterior(grid, mixture.density(grid), source_map, target)
+    object.__setattr__(post, "_mixture", mixture)
+    return post
 
 
 def _mix_by_block(grid: np.ndarray, integrand, prior, inner_scale: float,
                   outer_scale) -> np.ndarray:
-    """:func:`mix_against_prior` at every grid point, 512 points per pass.
-
-    ``integrand(col, tau)`` is the mixing integrand at a column of grid
-    points, and ``outer_scale(col)`` the widest feature scale it declares.
-    """
+    """:func:`mix_against_prior` of ``integrand(col, tau)`` at every grid
+    point, 512 points a pass; ``outer_scale(col)`` is its widest feature."""
     out = np.empty(grid.size)
     for start in range(0, grid.size, _BLOCK):
         col = grid[start:start + _BLOCK][:, None]
@@ -187,15 +136,11 @@ def _mix_by_block(grid: np.ndarray, integrand, prior, inner_scale: float,
 def mac_oracle(source: StudyEstimate, target: StudyEstimate,
                tau_prior: HeterogeneityPrior,
                points: int = GRID_POINTS) -> ShrinkagePosterior:
-    """Joint-model route to the same posterior, used as an oracle.
-
-    Conditional on tau, with a uniform prior on the overall mean, the target
-    effect's posterior is normal with precision-weighted moments; tau itself
-    carries weight proportional to its prior density times the marginal
-    likelihood Normal(y2; y1, s1^2 + s2^2 + 2 tau^2).  The posterior is the
-    weighted mixture over tau, evaluated on the grid of
-    :func:`shrinkage_posterior` and normalized the same way.
-    """
+    """Joint-model route to the same posterior, used as an oracle: given tau
+    and a uniform prior on the overall mean, the target effect is normal,
+    and tau has weight p(tau) Normal(y2; y1, s1^2 + s2^2 + 2 tau^2).  The
+    adaptive engine integrates over tau on the grid of
+    :func:`shrinkage_posterior`, and the trapezoidal rule normalizes."""
     post = shrinkage_posterior(source, target, tau_prior, points)
     v1, v2 = source.variance, target.variance
     y1, y2 = source.y, target.y
@@ -207,32 +152,44 @@ def mac_oracle(source: StudyEstimate, target: StudyEstimate,
         blend = v2 / (rho + v2)
         mean_t = (rho * y2 + v2 * mean_mu) / (rho + v2)
         var_t = rho * v2 / (rho + v2) + np.square(blend) * var_mu
-        weight = _normal_pdf(y2, y1, v1 + v2 + 2.0 * rho)
-        return weight * _normal_pdf(col, mean_t, var_t)
+        weight = normal_pdf(y2 - y1, 1.0 / (v1 + v2 + 2.0 * rho))
+        return weight * normal_pdf(col - mean_t, 1.0 / var_t)
 
     def outer_scale(col: np.ndarray) -> float:
-        span = max(float(np.max(np.abs(col - y1))), abs(y1 - y2))
-        return span + source.se + target.se
+        return max(float(np.max(np.abs(col - y1))), abs(y1 - y2)) + source.se + target.se
 
     values = _mix_by_block(post.grid, conditional_mixture, tau_prior,
                            0.5 * min(source.se, target.se), outer_scale)
     return _normalized(post.grid, values, post.source_map, target)
 
 
+def posterior_summaries(mixture: NormalMixture,
+                        levels: Sequence[float]) -> list[PosteriorSummary]:
+    """Median, central credible interval and P(effect < 0) at each level;
+    the median and every bound are one quantile solve."""
+    levels = np.asarray(levels, dtype=float)
+    if np.any(~((levels > 0.0) & (levels < 1.0))):
+        raise InvalidParameterError(f"interval level must be in (0, 1), got {levels}")
+    tails = (1.0 - levels) / 2.0
+    q = mixture.quantiles(np.concatenate([[0.5], tails, 1.0 - tails])).tolist()
+    below = float(mixture.cdf(0.0))
+    return [PosteriorSummary(q[0], lo, hi, below)
+            for lo, hi in zip(q[1:1 + levels.size], q[1 + levels.size:])]
+
+
 def posterior_summary(post: ShrinkagePosterior, level: float = 0.95) -> PosteriorSummary:
-    """Median, central credible interval and P(effect < 0) from the grid CDF."""
-    if not 0.0 < level < 1.0:
-        raise InvalidParameterError(f"interval level must be in (0, 1), got {level!r}")
-    cdf = post.cdf_values()
-    lower_p = (1.0 - level) / 2.0
-    median, lower, upper = np.interp([0.5, lower_p, 1.0 - lower_p], cdf, post.grid)
-    prob_below = np.interp(0.0, post.grid, cdf)
-    return PosteriorSummary(float(median), float(lower), float(upper), float(prob_below))
+    """Median, central credible interval and P(effect < 0) of the mixture."""
+    return posterior_summaries(post.mixture, [level])[0]
+
+
+def interval_width_ratio(summary: PosteriorSummary, target: StudyEstimate,
+                         level: float) -> float:
+    """Interval width relative to the target-alone normal interval."""
+    return (summary.upper - summary.lower) / (
+        2.0 * float(special.ndtri((1.0 + level) / 2.0)) * target.se)
 
 
 def width_ratio(post: ShrinkagePosterior, target: StudyEstimate,
                 level: float = 0.95) -> float:
     """Posterior interval width relative to the target-alone normal interval."""
-    summary = posterior_summary(post, level)
-    z = float(special.ndtri((1.0 + level) / 2.0))
-    return (summary.upper - summary.lower) / (2.0 * z * target.se)
+    return interval_width_ratio(posterior_summary(post, level), target, level)

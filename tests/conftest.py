@@ -163,6 +163,74 @@ def mixture_cdf(prior, y1: float, s1: float, x: float) -> float:
     return total if x <= y1 else 1.0 - total
 
 
+def _posterior_integral(prior, source, target, x, kernel) -> float:
+    """Integral over tau of prior density x normalized marginal weight x
+    ``kernel(z)``, z = (x - m) / v the standardized offset of ``x`` from the
+    conjugate normal posterior N(m, v^2) at that tau.
+
+    scipy's adaptive quadrature in log tau, over panels between the prior's
+    quantiles from 1e-15 to 1 - 1e-15, with extra edges where the weight and
+    the conditional posterior turn (tau at s1, s2, |y1 - y2| and the offsets
+    of ``x`` from both estimates, each over sqrt(2)).  The marginal weight
+    Normal(y2; y1, s1^2 + s2^2 + 2 tau^2) is scaled to at most 1.
+    """
+    v1, v2 = source.variance, target.variance
+    gap = target.y - source.y
+
+    def integrand(s):
+        tau = math.exp(s)
+        a = v1 + 2.0 * tau * tau
+        weight = math.exp(-0.5 * gap * gap / (a + v2)) * math.sqrt((v1 + v2) / (a + v2))
+        mean = (source.y * v2 + target.y * a) / (a + v2)
+        sd = math.sqrt(a * v2 / (a + v2))
+        return float(prior.density(tau)) * tau * weight * kernel((x - mean) / sd, sd)
+
+    probs = [1e-15, 1e-6, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999, 1 - 1e-6, 1 - 1e-15]
+    edges = [float(prior.quantile(p)) for p in probs]
+    if math.isfinite(prior.support_upper):
+        edges[-1] = float(prior.support_upper)
+    turns = [f / math.sqrt(2.0) for f in (source.se, target.se, abs(gap),
+                                            abs(x - source.y), abs(x - target.y))]
+    edges = sorted(set(edges + [t for t in turns if edges[0] < t < edges[-1]]))
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        val, _ = quad(integrand, math.log(a), math.log(b), epsabs=0.0, epsrel=1e-12,
+                      limit=400)
+        total += val
+    return total
+
+
+def posterior_cdf(prior, source, target, x: float) -> float:
+    """CDF of the target effect's shrinkage posterior at ``x``: the lower
+    tail over the total of both tails, each integrated over tau."""
+    lower = _posterior_integral(prior, source, target, x, lambda z, sd: float(ndtr(z)))
+    upper = _posterior_integral(prior, source, target, x, lambda z, sd: float(ndtr(-z)))
+    return lower / (lower + upper)
+
+
+def posterior_density(prior, source, target, x: float) -> float:
+    """Density of the target effect's shrinkage posterior at ``x``."""
+    mass = _posterior_integral(prior, source, target, x, lambda z, sd: 1.0)
+    dens = _posterior_integral(
+        prior, source, target, x,
+        lambda z, sd: math.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi)))
+    return dens / mass
+
+
+def trapezoid_summary(post, level: float = 0.95):
+    """(median, lower, upper, P(effect < 0), mean) read from a route's own
+    grid and density by the trapezoidal rule, for checking the oracle
+    routes on what they computed rather than on the shrinkage mixture."""
+    grid, dens = np.asarray(post.grid), np.asarray(post.density)
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(grid) * (dens[1:] + dens[:-1]))))
+    cdf /= cdf[-1]
+    lower_p = (1.0 - level) / 2.0
+    median, lower, upper = np.interp([0.5, lower_p, 1.0 - lower_p], cdf, grid)
+    mean = np.trapezoid(grid * dens, grid) / np.trapezoid(dens, grid)
+    return (float(median), float(lower), float(upper),
+            float(np.interp(0.0, grid, cdf)), float(mean))
+
+
 def normal_pdf(x, mean, sd):
     x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * ((x - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR
-from mapprior import QuadratureError
+from conftest import DATA_DIR, posterior_density
+from mapprior import QuadratureError, load_studies_csv, make_prior
 from mapprior.cli import main
 
 ALPORT = str(DATA_DIR / "alport.csv")
@@ -193,12 +193,20 @@ class TestGridCommand:
         out = tmp_path / "post.tsv"
         code, _, _ = run_cli(capsys, "grid", "--data", ALPORT,
                              "--prior", "half-normal(0.5)", "--dist", "posterior",
-                             "--from", "-3", "--to", "1.5", "--points", "50",
+                             "--from", "-6", "--to", "1.5", "--points", "50",
                              "--out", str(out))
         assert code == 0
         values = np.loadtxt(out)
         assert values.shape == (50, 2)
         assert values[:, 1].max() > 0.5
+        # the density is exact at any abscissa: row 30 (-1.408...) in the
+        # bulk, and row 0 (-6) in the far tail, where it is about 1e-15
+        source, target = load_studies_csv(ALPORT)
+        prior = make_prior("half-normal", 0.5)
+        for row in (0, 30):
+            x, density = values[row]
+            assert density == pytest.approx(posterior_density(prior, source, target, x),
+                                            rel=1e-9)
 
     def test_a0_density_defaults_to_unit_interval(self, capsys, tmp_path):
         out = tmp_path / "a0.tsv"

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from conftest import normal_pdf
+from conftest import normal_pdf, posterior_cdf, posterior_density, trapezoid_summary
 from mapprior import (
     InvalidParameterError,
     MapPrior,
     StudyEstimate,
     mac_oracle,
     make_prior,
+    parse_ratio_ci,
     posterior_summary,
     shrinkage_posterior,
     width_ratio,
@@ -27,6 +28,23 @@ FAMILY_POOL = [
     ("lomax", True),
     ("uniform", False),
 ]
+
+
+ALPORT_SOURCE = StudyEstimate(*parse_ratio_ci(0.53, 0.22, 1.29), label="observational")
+ALPORT_TARGET = StudyEstimate(*parse_ratio_ci(0.51, 0.12, 2.20), label="RCT")
+HN05 = make_prior("half-normal", 0.5)
+
+#: (source, target, prior) problems checked against the scipy-quad oracle:
+#: estimates 1500 target SEs apart, source/target SE ratios over six orders
+#: of magnitude, and heavy-tailed priors on the Alport example
+ORACLE_CASES = {
+    "far-apart-tiny-ses": (StudyEstimate(0.0, 1e-4), StudyEstimate(0.3, 2e-4),
+                           make_prior("half-normal", 2.0)),
+    **{f"se-ratio-{r:g}": (StudyEstimate(-0.2, 0.4 * r), StudyEstimate(0.5, 0.4), HN05)
+       for r in (1e-3, 1.0, 1e3)},
+    "alport-half-cauchy": (ALPORT_SOURCE, ALPORT_TARGET, make_prior("half-cauchy", 0.3)),
+    "alport-lomax": (ALPORT_SOURCE, ALPORT_TARGET, make_prior("lomax", 1.0, 0.337)),
+}
 
 
 def random_instance(rng):
@@ -57,13 +75,12 @@ class TestAlportGolden:
         post = shrinkage_posterior(alport_source, alport_target, hn05)
         assert width_ratio(post, alport_target, 0.95) == pytest.approx(0.67, abs=0.01)
 
-    def test_prob_below_zero_consistent_with_fine_grid(self, alport_source,
-                                                       alport_target, hn05):
+    def test_prob_below_zero_matches_quad_oracle(self, alport_source,
+                                                 alport_target, hn05):
         post = shrinkage_posterior(alport_source, alport_target, hn05)
         summary = posterior_summary(post)
-        fine = shrinkage_posterior(alport_source, alport_target, hn05, points=16001)
         assert summary.prob_below_zero == pytest.approx(
-            posterior_summary(fine).prob_below_zero, abs=1e-4)
+            posterior_cdf(hn05, alport_source, alport_target, 0.0), abs=1e-7)
 
 
 class TestPosteriorObject:
@@ -132,9 +149,8 @@ class TestMacOracle:
     def test_agreement_strengthens_posterior(self, hn05):
         a = StudyEstimate(y=0.1, se=0.3)
         b = StudyEstimate(y=0.1, se=0.3)
-        post = mac_oracle(a, b, hn05)
-        summary = posterior_summary(post)
-        width = summary.upper - summary.lower
+        _, lower, upper, _, _ = trapezoid_summary(mac_oracle(a, b, hn05))
+        width = upper - lower
         single = 2.0 * ndtri(0.975) * 0.3
         assert width < single
 
@@ -143,8 +159,8 @@ class TestMacOracle:
         hc = make_prior("half-cauchy", 0.34)
         separation = 25.0 * math.sqrt(source.variance + 0.742 ** 2)
         target = StudyEstimate(y=separation, se=0.742)
-        post = mac_oracle(source, target, hc)
-        assert abs(post.mean() - target.y) < 0.1 * target.se
+        mean = trapezoid_summary(mac_oracle(source, target, hc))[4]
+        assert abs(mean - target.y) < 0.1 * target.se
 
     def test_randomized_suite_small(self):
         rng = np.random.default_rng(2471)
@@ -155,7 +171,7 @@ class TestMacOracle:
             assert np.max(np.abs(post.density - mac.density)) < 1e-4
             # dynamic borrowing: the posterior mean sits between the estimates
             lo, hi = sorted((source.y, target.y))
-            assert lo - 1e-9 <= post.mean() <= hi + 1e-9
+            assert lo - 1e-9 <= post.mixture.mean() <= hi + 1e-9
 
     def test_borrowing_monotone_in_conflict(self, hn05):
         source = StudyEstimate(y=0.0, se=0.451)
@@ -164,5 +180,33 @@ class TestMacOracle:
         for shift in shifts:
             target = StudyEstimate(y=shift, se=0.742)
             post = shrinkage_posterior(source, target, hn05)
-            pulls.append(target.y - post.mean())
+            pulls.append(target.y - post.mixture.mean())
         assert all(p >= -1e-9 for p in pulls)
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+class TestQuadOracle:
+    def test_summaries_agree_to_1e7_in_probability(self, case):
+        source, target, prior = ORACLE_CASES[case]
+        summary = posterior_summary(shrinkage_posterior(source, target, prior), 0.95)
+        for x, level in ((summary.median, 0.5), (summary.lower, 0.025),
+                         (summary.upper, 0.975)):
+            assert posterior_cdf(prior, source, target, x) == pytest.approx(level, abs=1e-7)
+        assert summary.prob_below_zero == pytest.approx(
+            posterior_cdf(prior, source, target, 0.0), abs=1e-7)
+
+    def test_tabulated_density_is_exact(self, case):
+        source, target, prior = ORACLE_CASES[case]
+        post = shrinkage_posterior(source, target, prior)
+        for index in (0, 1000, 2000, 3000, -1):
+            x = post.grid[index]
+            assert post.density[index] == pytest.approx(
+                posterior_density(prior, source, target, x), rel=1e-8)
+
+
+def test_far_apart_tiny_ses_centre_on_the_target():
+    """Two estimates 1500 target SEs apart under a wide prior: the target
+    is all but unshrunk, and its interval is the likelihood's."""
+    summary = posterior_summary(shrinkage_posterior(*ORACLE_CASES["far-apart-tiny-ses"]))
+    assert summary.median == pytest.approx(0.3, abs=1e-6)
+    assert summary.upper - summary.lower == pytest.approx(2 * ndtri(0.975) * 2e-4, rel=0.01)
