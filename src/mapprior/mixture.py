@@ -16,12 +16,13 @@ The rule is built on the first evaluation, for the largest offset
 |theta - y1| + s1 that evaluation needs, rounded up to s1 times a power of
 two, and checked once against a refined copy of itself.  A later
 evaluation that reaches further replaces it with a rule built and checked
-for the larger reach; smaller reaches reuse it.  Quantiles solve for the
-upper-tail offset on the same rule, one solve per symmetric pair of levels,
-by safeguarded Newton steps in log tail against log offset; each step reads
-the tail and the density from one pass.  Heavy-tailed mixing priors are
-fully supported; only the variance becomes infinite for them, every other
-evaluation stays finite.
+for the larger reach; smaller reaches reuse it.  Every normal mixture's
+quantiles come from one solver: safeguarded Newton steps in log tail
+against log offset beyond the far-side component mean, inside a bracket set
+by the components' weights, each step reading the tail and the density from
+one pass, to 1e-8 relative to the level's nearer tail.  Heavy-tailed mixing
+priors are fully supported; only the variance becomes infinite for them,
+every other evaluation stays finite.
 """
 
 from __future__ import annotations
@@ -42,8 +43,15 @@ __all__ = ["MapPrior", "NormalMixture", "conditional_moments", "normal_pdf"]
 #: theta values evaluated per block, bounds peak memory
 _BLOCK = 512
 
-#: probability tolerance for quantile inversion
+#: quantile tolerance, relative to the level's nearer tail
 _QUANTILE_TOL = 1e-8
+
+#: smallest tail a MapPrior quantile is solved for: the tau rule prunes
+#: far-tail mass up to 1e-23 of the total, more than 1e-6 of a smaller tail
+_TAIL_FLOOR = 1e-17
+
+#: largest offset a MapPrior quantile is solved at: the kernels square it
+_MAX_REACH = 1e150
 
 
 def normal_pdf(offset, precision):
@@ -92,36 +100,55 @@ class NormalMixture:
         return float(self.center + np.sum(self.weights * self.offsets))
 
     def quantiles(self, p) -> np.ndarray:
-        """Inverse CDF, to ``_QUANTILE_TOL`` relative to each level's nearer
-        tail t, by Newton steps in log tail from the normal approximation.
-        No component mean lies outside the offsets' range, nor is any wider
-        than the widest, so Phi^-1(1 - t) widest standard deviations beyond
-        that range bracket the quantile; a step that leaves the bracket
-        (narrowed as it goes) is replaced by its midpoint."""
+        """Inverse CDF, to ``_QUANTILE_TOL`` relative to the nearer tail."""
         p = np.asarray(p, dtype=float).ravel()
         if np.any(~((p > 0.0) & (p < 1.0))):
             raise InvalidParameterError("quantile needs probabilities in (0, 1)")
-        lower, t = p <= 0.5, np.minimum(p, 1.0 - p)
-        spread = -special.ndtri(t) / math.sqrt(np.min(self.precisions))
-        lo, hi = np.min(self.offsets) - spread, np.max(self.offsets) + spread
-        mean = self.mean() - self.center
-        var = self.weights @ (1.0 / self.precisions + np.square(self.offsets - mean))
-        x = np.clip(mean + math.sqrt(var) * special.ndtri(p), lo, hi)
-        todo = np.arange(p.size)
+        return self._solve_tails(np.minimum(p, 1.0 - p), p <= 0.5)
+
+    def _solve_tails(self, t: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        """The points whose lower (where ``lower``) or upper tail is t in
+        (0, 1/2], each to ``_QUANTILE_TOL`` relative to t.
+
+        The lower tail at the largest component mean is at least 1/2, and
+        so is the upper tail at the smallest, so each point is that mean
+        -/+ an offset x >= 0.  With sigma(q) the narrowest standard
+        deviation such that the components wider than it hold at most q of
+        the weight, x <= hi = (mean range) + Phi^-1(1 - t/2) sigma(t/2).
+        Newton steps in log tail against log x (exact for power tails)
+        start from the mixture mean + Phi^-1(1 - t) sigma(t) and stay
+        strictly inside [lo, hi], narrowed as they go; a step that leaves
+        it is replaced by its midpoint (geometric once lo > 0).  Each pass
+        reads the tail and the density at the point it would return, as
+        rounded, and a converged level is frozen.
+        """
+        with np.errstate(divide="ignore"):
+            sd = 1.0 / np.sqrt(self.precisions)     # inf where the precision is 0
+        order = np.argsort(-sd)
+        wider = np.cumsum(self.weights[order]) / np.sum(self.weights)
+        widths = sd[order][np.searchsorted(wider[:-1], np.stack([t, 0.5 * t]), side="right")]
+        top, bottom = np.max(self.offsets), np.min(self.offsets)
+        anchor, sign = np.where(lower, top, bottom), np.where(lower, -1.0, 1.0)
+        lo, hi = np.zeros_like(t), (top - bottom) - special.ndtri(0.5 * t) * widths[1]
+        x = sign * (self.mean() - self.center - anchor) - special.ndtri(t) * widths[0]
+        out = np.empty_like(t)
+        todo = np.arange(t.size)
         for _ in range(200):
-            xs, low, target = x[todo], lower[todo], t[todo]
-            tail, dens = self._reduce(xs, low).T
-            past = (tail > target) == low      # x lies beyond the quantile
-            hi[todo], lo[todo] = np.where(past, xs, hi[todo]), np.where(past, lo[todo], xs)
+            xs, target = x[todo], t[todo]
+            out[todo] = self.center + (anchor[todo] + sign[todo] * xs)
+            tail, dens = self._reduce(out[todo] - self.center, lower[todo]).T
+            short = tail <= target              # x lies at or beyond the point
+            hi[todo], lo[todo] = np.where(short, xs, hi[todo]), np.where(short, lo[todo], xs)
             err = np.abs(tail / target - 1.0)
-            if np.all(err <= _QUANTILE_TOL):
-                return self.center + x
-            todo, xs, low, target, tail, dens = (
-                a[err > _QUANTILE_TOL] for a in (todo, xs, low, target, tail, dens))
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                step = xs + np.where(low, -1.0, 1.0) * np.log(tail / target) * tail / dens
+            unsolved = ~(err <= _QUANTILE_TOL)      # a NaN tail stays unsolved
+            if not unsolved.any():
+                return out
+            todo, xs, target, tail, dens = (a[unsolved] for a in (todo, xs, target, tail, dens))
             a, b = lo[todo], hi[todo]
-            x[todo] = np.where((step > a) & (step < b), step, 0.5 * (a + b))
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                step = xs * np.exp(np.log(tail / target) * tail / (dens * xs))
+            mid = np.where(a > 0.0, np.sqrt(a * b), 0.5 * (a + b))
+            x[todo] = np.where((step > a) & (step < b), step, mid)
         raise QuadratureError("mixture quantile iteration stalled",
                               achieved=float(np.max(err)))
 
@@ -236,71 +263,17 @@ class MapPrior:
 
     # -- quantiles --------------------------------------------------------
 
-    def _tail_and_density(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        """Tail mass beyond |theta - location| and the density at theta, from
-        one pass over the rule."""
-        d = np.abs(np.asarray(theta, dtype=float) - self.location)
-        return tuple(self._on_rule(theta)._reduce(d, np.zeros(d.size, dtype=bool)).T)
-
-    def _tail_offsets(self, t: np.ndarray) -> np.ndarray:
-        """Offsets x >= 0 whose upper tail S(x) = P(theta > location + x) is
-        within ``_QUANTILE_TOL`` of each target t in (0, 1/2].
-
-        Newton steps in log S against log x, exact for power tails, kept
-        strictly inside a per-level bracket [lo, hi]; a step that leaves it
-        is replaced by the bracket's midpoint (geometric once lo > 0).  The
-        upper end is checked in the first pass and doubled while S(hi) > t.
-        A converged level is frozen: a step taken at round-off lands on a
-        bracket edge and the midpoint would throw the value away.
-        """
-        s1 = self.base_se
-        tau_q = np.asarray(self.tau_prior.quantile(1.0 - t), dtype=float)
-        lo = np.zeros_like(t)
-        hi = 10.0 * (s1 + 2.0 * tau_q)
-        x = -special.ndtri(t) * np.sqrt(s1 ** 2 + 2.0 * np.square(tau_q))
-        x = np.where(x < hi, x, 0.5 * hi)
-        unchecked = np.ones(t.size, dtype=bool)
-        todo = np.arange(t.size)
-        for passes in range(200):
-            check = todo[unchecked[todo]]
-            if passes >= 60 and check.size:
-                raise QuadratureError("could not bracket mixture quantiles")
-            tail, dens = self._tail_and_density(
-                self.location + np.concatenate([x[todo], hi[check]]))
-            s, f = tail[:todo.size], dens[:todo.size]
-            beyond = tail[todo.size:] > t[check]
-            lo[check[beyond]] = hi[check[beyond]]
-            hi[check[beyond]] *= 2.0
-            unchecked[check[~beyond]] = False
-
-            target, xs = t[todo], x[todo]
-            above = s > target
-            lo[todo] = np.where(above, np.maximum(lo[todo], xs), lo[todo])
-            hi[todo] = np.where(above, hi[todo], np.minimum(hi[todo], xs))
-            unchecked[todo[~above]] = False
-            err = np.abs(s - target)
-            unsolved = err > _QUANTILE_TOL
-            if not unsolved.any():
-                return x
-            todo, s, f, xs, target = (a[unsolved] for a in (todo, s, f, xs, target))
-            a, b = lo[todo], hi[todo]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                step = xs * np.exp(np.log(s / target) * s / (f * xs))
-            mid = np.where(a > 0.0, np.sqrt(a * b), 0.5 * (a + b))
-            x[todo] = np.where((step > a) & (step < b), step, mid)
-        raise QuadratureError("mixture quantile iteration stalled",
-                              achieved=float(np.max(err)))
-
     def quantiles(self, p) -> np.ndarray:
-        """Vectorized inverse CDF, to 1e-8 in probability.
+        """Vectorized inverse CDF, to 1e-8 relative to each level's nearer
+        tail t = min(p, 1 - p).
 
         The mixture is symmetric about its location, so each level is solved
-        as an upper-tail offset for t = min(p, 1 - p), and a level and its
-        mirror share one solve.  Offsets come from safeguarded Newton steps
-        on the tail, starting from the normal quantile at the tau prior's
-        matching tail quantile, inside a bracket grown from the base standard
-        error and that tau quantile (heavy-tailed mixing priors put extreme
-        quantiles tens of units out).
+        as an upper tail by :meth:`NormalMixture._solve_tails`, and a level
+        and its mirror share one solve.  The rule is built once, for the
+        reach Phi^-1(1 - t/2) sqrt(s1^2 + 2 tau_h^2) of the smallest t,
+        with tau_h the tau prior's upper t/2 quantile, beyond which the tail
+        is below t.  A t below ``_TAIL_FLOOR``, or a reach beyond
+        ``_MAX_REACH``, raises :class:`QuadratureError`.
         """
         p = np.asarray(p, dtype=float)
         if np.any(~((p > 0.0) & (p < 1.0))):
@@ -308,18 +281,20 @@ class MapPrior:
         flat = p.ravel()
         if flat.size == 0:
             return np.empty(p.shape)
-        t = np.minimum(flat, 1.0 - flat)
         # a level and its mirror rarely give equal targets (1 - 0.95 is not
         # 0.05 in floats); targets within the spacing of floats near 1 share
         # one solve
-        order = np.argsort(t)
-        ranked = t[order]
-        first = np.concatenate(([True], np.diff(ranked) > np.finfo(float).eps))
-        level = np.empty(t.size, dtype=int)
-        level[order] = np.cumsum(first) - 1
-        x = self._tail_offsets(ranked[first])[level]
-        q = np.where(flat > 0.5, self.location + x, self.location - x)
-        q = np.where(flat == 0.5, self.location, q)
+        ranked, level = np.unique(np.minimum(flat, 1.0 - flat), return_inverse=True)
+        first = np.diff(ranked, prepend=-1.0) > np.finfo(float).eps
+        half = 0.5 * max(ranked[0], _TAIL_FLOOR)
+        reach = -special.ndtri(half) * math.hypot(self.base_se,
+                                                  math.sqrt(2.0) * self.tau_prior.isf(half))
+        if not (ranked[0] >= _TAIL_FLOOR and reach <= _MAX_REACH):
+            raise QuadratureError(f"quantile level {ranked[0]:.3g} is out of reach: the tau rule "
+                                  f"resolves tails to {_TAIL_FLOOR:g} at offsets to {_MAX_REACH:g}")
+        upper = self._on_rule(self.location + reach)._solve_tails(
+            ranked[first], np.zeros(int(first.sum()), dtype=bool))[np.cumsum(first)[level] - 1]
+        q = np.where(flat > 0.5, upper, self.location - (upper - self.location))
         return q.reshape(p.shape) if p.ndim else q[0]
 
     def quantile(self, p: float) -> float:

@@ -1,8 +1,8 @@
 """Heterogeneity prior families for a between-study standard deviation.
 
 Seven one-parameter scale families (plus an optional shape parameter where
-the family has one) on tau >= 0, with closed-form densities, CDFs, quantiles
-and first/second moments:
+the family has one) on tau >= 0, with closed-form densities, CDFs, quantiles,
+upper-tail quantiles and first/second moments:
 
 ======================  =========================================  ==========
 family                  density for x >= 0                         shape
@@ -65,6 +65,7 @@ class _Family(NamedTuple):
     density: Callable          # (x, shape) -> pdf values
     cdf: Callable              # (x, shape) -> cdf values
     quantile: Callable         # (p, shape) -> quantiles
+    isf: Callable              # (q, shape) -> upper-tail quantiles, closed form
     mean: Callable             # (shape) -> float, may be inf
     mean_sq: Callable          # (shape) -> float, may be inf
     bounded: bool              # support is [0, 1] rather than [0, inf)
@@ -94,6 +95,7 @@ _FAMILIES: dict[str, _Family] = {
         density=lambda x, _: math.sqrt(2.0 / math.pi) * np.exp(-0.5 * np.square(x)),
         cdf=lambda x, _: special.erf(x / math.sqrt(2.0)),
         quantile=lambda p, _: _norm_quantile((1.0 + np.asarray(p, dtype=float)) / 2.0),
+        isf=lambda q, _: -_norm_quantile(q / 2.0),
         mean=lambda _: math.sqrt(2.0 / math.pi),
         mean_sq=lambda _: 1.0,
         bounded=False,
@@ -104,6 +106,9 @@ _FAMILIES: dict[str, _Family] = {
         density=lambda x, nu: 2.0 * _t_pdf(x, nu),
         cdf=lambda x, nu: 2.0 * special.stdtr(nu, x) - 1.0,
         quantile=lambda p, nu: special.stdtrit(nu, (1.0 + np.asarray(p, dtype=float)) / 2.0),
+        # P(|T| > x) = I_{nu/(nu + x^2)}(nu/2, 1/2), inverted; -stdtrit(nu, q/2)
+        # returns inf for tiny q
+        isf=lambda q, nu: np.sqrt(nu / special.betaincinv(0.5 * nu, 0.5, q) - nu),
         mean=_half_t_mean,
         mean_sq=lambda nu: nu / (nu - 2.0) if nu > 2.0 else math.inf,
         bounded=False,
@@ -114,6 +119,7 @@ _FAMILIES: dict[str, _Family] = {
         density=lambda x, _: 2.0 / (math.pi * (1.0 + np.square(x))),
         cdf=lambda x, _: (2.0 / math.pi) * np.arctan(x),
         quantile=_half_cauchy_quantile,
+        isf=lambda q, _: 1.0 / np.tan(0.5 * np.pi * q),
         mean=lambda _: math.inf,
         mean_sq=lambda _: math.inf,
         bounded=False,
@@ -124,6 +130,7 @@ _FAMILIES: dict[str, _Family] = {
         density=lambda x, _: 2.0 * np.exp(-x) / np.square(1.0 + np.exp(-x)),
         cdf=lambda x, _: np.tanh(x / 2.0),
         quantile=lambda p, _: 2.0 * np.arctanh(np.asarray(p, dtype=float)),
+        isf=lambda q, _: np.log((2.0 - q) / q),
         mean=lambda _: math.log(4.0),
         mean_sq=lambda _: math.pi ** 2 / 3.0,
         bounded=False,
@@ -134,6 +141,7 @@ _FAMILIES: dict[str, _Family] = {
         density=lambda x, _: np.exp(-x),
         cdf=lambda x, _: -np.expm1(-x),
         quantile=lambda p, _: -np.log1p(-np.asarray(p, dtype=float)),
+        isf=lambda q, _: -np.log(q),
         mean=lambda _: 1.0,
         mean_sq=lambda _: 2.0,
         bounded=False,
@@ -144,6 +152,7 @@ _FAMILIES: dict[str, _Family] = {
         density=lambda x, a: a * np.exp(-(a + 1.0) * np.log1p(x)),
         cdf=lambda x, a: -np.expm1(-a * np.log1p(x)),
         quantile=lambda p, a: np.expm1(-np.log1p(-np.asarray(p, dtype=float)) / a),
+        isf=lambda q, a: np.expm1(-np.log(q) / a),
         mean=lambda a: 1.0 / (a - 1.0) if a > 1.0 else math.inf,
         mean_sq=lambda a: 2.0 / ((a - 1.0) * (a - 2.0)) if a > 2.0 else math.inf,
         bounded=False,
@@ -154,6 +163,7 @@ _FAMILIES: dict[str, _Family] = {
         density=lambda x, _: np.where(x <= 1.0, 1.0, 0.0),
         cdf=lambda x, _: np.minimum(x, 1.0),
         quantile=lambda p, _: np.asarray(p, dtype=float),
+        isf=lambda q, _: 1.0 - q,
         mean=lambda _: 0.5,
         mean_sq=lambda _: 1.0 / 3.0,
         bounded=True,
@@ -256,6 +266,17 @@ class HeterogeneityPrior:
         if np.any((p <= 0.0) | (p >= 1.0)):
             raise InvalidParameterError("quantile needs probabilities in (0, 1)")
         result = self.scale * self._spec.quantile(p, self.shape)
+        return result if result.ndim else float(result)
+
+    def isf(self, q) -> np.ndarray:
+        """Upper-tail quantile: the tau with P(tau > isf(q)) = q, in closed
+        form, so it stays accurate where 1 - q rounds to 1; ``inf`` where
+        the closed form overflows."""
+        q = np.asarray(q, dtype=float)
+        if np.any(~((q > 0.0) & (q < 1.0))):
+            raise InvalidParameterError("isf needs probabilities in (0, 1)")
+        with np.errstate(divide="ignore", over="ignore"):
+            result = self.scale * self._spec.isf(q, self.shape)
         return result if result.ndim else float(result)
 
     @property

@@ -163,6 +163,35 @@ def mixture_cdf(prior, y1: float, s1: float, x: float) -> float:
     return total if x <= y1 else 1.0 - total
 
 
+def mixture_upper_tail(prior, s1: float, d: float, level: float) -> float:
+    """P(theta > y1 + d) for d >= 0 under the predictive mixture, to about
+    1e-11 relative for tails down to ``level``.  :func:`mixture_cdf` holds
+    tails to 1e-15 absolutely and leaves out 2e-12 of the tau mass, so it
+    cannot check tails this small.
+
+    scipy's adaptive quadrature with a relative tolerance only: linearly in
+    tau up to an eighth of the smaller of s1 and the prior's 5% quantile,
+    then in log tau over panels at the prior's upper 10^-k quantiles and at
+    d / 8 and d, where the kernel turns on, out to the support's end or to
+    the upper 1e-12 * ``level`` quantile, past which the mass is left out
+    (``prior.isf`` is checked against scipy.stats in ``test_priors.py``).
+    """
+    def kernel(tau):
+        return float(ndtr(-d / math.sqrt(s1 * s1 + 2.0 * tau * tau))) * float(prior.density(tau))
+
+    bounded = math.isfinite(prior.support_upper)
+    lo = 0.125 * min(s1, float(prior.quantile(0.05)))
+    hi = float(prior.support_upper if bounded else prior.isf(1e-12 * level))
+    ladder = [] if bounded else [float(prior.isf(10.0 ** -k)) for k in range(1, 40)
+                                 if 10.0 ** -k > 1e-12 * level]
+    edges = np.unique(np.clip([lo, hi, prior.median, d / 8.0, d] + ladder, lo, hi))
+    total = quad(kernel, 0.0, lo, epsabs=0.0, epsrel=1e-12, limit=400)[0]
+    for a, b in zip(edges[:-1], edges[1:]):
+        total += quad(lambda s: kernel(math.exp(s)) * math.exp(s), math.log(a), math.log(b),
+                      epsabs=0.0, epsrel=1e-12, limit=400)[0]
+    return total
+
+
 def _posterior_integral(prior, source, target, x, kernel) -> float:
     """Integral over tau of prior density x normalized marginal weight x
     ``kernel(z)``, z = (x - m) / v the standardized offset of ``x`` from the

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from conftest import common_median, mixture_cdf, normal_pdf, table2_priors
+from conftest import (common_median, mixture_cdf, mixture_upper_tail, normal_pdf,
+                      table2_priors)
 from mapprior import (
     InvalidParameterError,
     MapPrior,
@@ -19,7 +20,7 @@ from mapprior import (
     scale_for_median,
     uisd,
 )
-from mapprior import QuadratureError, mixture
+from mapprior import MapPriorError, QuadratureError, mixture
 from mapprior.information import _probability_ladder
 from mapprior.quadrature import mix_against_prior
 
@@ -174,17 +175,18 @@ class TestQuantiles:
 
     def test_pass_count_per_ladder(self, monkeypatch):
         passes, cdf_calls = [], []
-        solve_pass, cdf = MapPrior._tail_and_density, MapPrior.cdf
+        reduce, cdf = mixture.NormalMixture._reduce, MapPrior.cdf
 
-        def counting_pass(self, theta):
-            passes.append(np.size(theta))
-            return solve_pass(self, theta)
+        def counting_reduce(self, x, lower=None):
+            if lower is not None:
+                passes.append(np.size(x))
+            return reduce(self, x, lower)
 
         def counting_cdf(self, theta):
             cdf_calls.append(np.size(theta))
             return cdf(self, theta)
 
-        monkeypatch.setattr(MapPrior, "_tail_and_density", counting_pass)
+        monkeypatch.setattr(mixture.NormalMixture, "_reduce", counting_reduce)
         monkeypatch.setattr(MapPrior, "cdf", counting_cdf)
         for prior in table2_priors():
             passes.clear()
@@ -204,6 +206,37 @@ class TestQuantiles:
                 q = MapPrior(0.3, s1 ** 2, prior).quantiles(p)
             for prob, value in zip(p, q):
                 assert abs(mixture_cdf(prior, 0.3, s1, float(value)) - prob) <= 1e-8
+
+    @pytest.mark.parametrize("family,shape", FAMILIES)
+    @pytest.mark.parametrize("level", [1e-6, 1e-9, 1e-12])
+    def test_tiny_levels_against_tail_oracle(self, family, shape, level):
+        prior = make_prior(family, scale_for_median(family, common_median(), shape), shape)
+        s1 = 0.451
+        lower, upper = MapPrior(0.3, s1 ** 2, prior).quantiles([level, 1.0 - level])
+        for d, tail in ((0.3 - lower, level), (upper - 0.3, 1.0 - (1.0 - level))):
+            assert mixture_upper_tail(prior, s1, d, tail) == pytest.approx(tail, rel=1e-6)
+
+    def test_table2_far_tail_against_tail_oracle(self):
+        for prior in table2_priors():
+            q = MapPrior(0.0, 0.451 ** 2, prior).quantile(1.0 - 1e-6)
+            tail = 1.0 - (1.0 - 1e-6)
+            assert mixture_upper_tail(prior, 0.451, q, tail) == pytest.approx(tail, rel=1e-6)
+
+    def test_level_where_one_minus_p_rounds_to_one(self):
+        # the rule's reach comes from the tau prior's closed-form upper tail
+        mp = MapPrior(0.0, 0.2, make_prior("half-normal", 0.5))
+        q = mp.quantile(1e-17)
+        assert mixture_upper_tail(mp.tau_prior, math.sqrt(0.2), -q, 1e-17) == pytest.approx(
+            1e-17, rel=1e-6)
+
+    @pytest.mark.parametrize("prior,p", [(make_prior("half-normal", 0.5), 1e-300),
+                                         (make_prior("half-normal", 0.5), 5e-324),
+                                         (make_prior("lomax", 1.0, 0.05), 1e-9)])
+    def test_level_out_of_reach_is_a_typed_error(self, prior, p):
+        # below the floor the rule's pruned mass would swamp the tail; the
+        # Lomax(0.05) offset would overflow the kernels' squares
+        with pytest.raises(MapPriorError, match="tails to 1e-17 at offsets to 1e"):
+            MapPrior(0.0, 0.2, prior).quantiles([0.5, p])
 
     def test_stall_is_a_typed_error(self):
         # near 1e3 the float spacing moves the CDF by far more than 1e-8

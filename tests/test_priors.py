@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from conftest import TABLE2_ROWS, common_median, partial_moment, quad_mass, quad_moment
 from mapprior import (
@@ -29,6 +30,17 @@ SWEEP = [
     ("lomax", 0.34, 1.0),
     ("uniform", 0.7, None),
 ]
+
+#: survival function of each family's scale-1 member, from scipy.stats
+SURVIVAL = {
+    "half-normal": lambda x, _: stats.halfnorm.sf(x),
+    "half-student-t": lambda x, nu: 2.0 * stats.t.sf(x, nu),
+    "half-cauchy": lambda x, _: stats.halfcauchy.sf(x),
+    "half-logistic": lambda x, _: stats.halflogistic.sf(x),
+    "exponential": lambda x, _: stats.expon.sf(x),
+    "lomax": lambda x, alpha: stats.lomax.sf(x, alpha),
+    "uniform": lambda x, _: stats.uniform.sf(x),
+}
 
 
 class TestConstruction:
@@ -141,6 +153,23 @@ class TestQuantile:
         np.testing.assert_allclose(prior.cdf(prior.quantile(p)), p, atol=1e-8)
         tau = prior.quantile(p)
         np.testing.assert_allclose(prior.quantile(prior.cdf(tau)), tau, rtol=1e-7)
+
+
+    @pytest.mark.parametrize("family,scale,shape", SWEEP)
+    @pytest.mark.parametrize("q", [0.5, 1e-3, 1e-17, 1e-300])
+    def test_isf_round_trips(self, family, scale, shape, q):
+        prior = make_prior(family, scale, shape)
+        tau = prior.isf(q)
+        # the CDF returns 1 - q where that is a float, the survival from
+        # scipy.stats returns q itself (to float spacing on bounded support)
+        assert prior.cdf(tau) == pytest.approx(1.0 - q, rel=0.0, abs=1e-15)
+        floor = np.spacing(1.0) if math.isfinite(prior.support_upper) else 0.0
+        assert SURVIVAL[family](tau / scale, shape) == pytest.approx(q, rel=1e-12, abs=floor)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, -0.2, math.nan])
+    def test_isf_out_of_range_rejected(self, q):
+        with pytest.raises(InvalidParameterError):
+            make_prior("half-normal", 1.0).isf(q)
 
 
 class TestMoments:

@@ -10,6 +10,7 @@ from conftest import normal_pdf, posterior_cdf, posterior_density, trapezoid_sum
 from mapprior import (
     InvalidParameterError,
     MapPrior,
+    QuadratureError,
     StudyEstimate,
     mac_oracle,
     make_prior,
@@ -18,6 +19,8 @@ from mapprior import (
     shrinkage_posterior,
     width_ratio,
 )
+from mapprior import mixture
+from mapprior.shrink import posterior_mixture, posterior_summaries
 
 FAMILY_POOL = [
     ("half-normal", False),
@@ -210,3 +213,31 @@ def test_far_apart_tiny_ses_centre_on_the_target():
     summary = posterior_summary(shrinkage_posterior(*ORACLE_CASES["far-apart-tiny-ses"]))
     assert summary.median == pytest.approx(0.3, abs=1e-6)
     assert summary.upper - summary.lower == pytest.approx(2 * ndtri(0.975) * 2e-4, rel=0.01)
+
+
+def test_stall_is_a_typed_error():
+    # near 1e3 the float spacing moves the CDF by far more than 1e-8, and
+    # each pass reads the tail at the point it would return
+    study = StudyEstimate(1e3, 1e-12)
+    post = posterior_mixture(MapPrior.from_study(study, make_prior("uniform", 1e-14)), study)
+    with pytest.raises(QuadratureError, match="stalled") as caught:
+        post.quantiles([0.3])
+    assert caught.value.achieved > 1e-8
+
+
+@pytest.mark.parametrize("prior", [HN05, make_prior("half-cauchy", 0.3),
+                                   make_prior("lomax", 1.0, 0.337)],
+                         ids=lambda prior: prior.spec_string())
+def test_pass_count_per_summary(prior, monkeypatch):
+    passes = []
+    reduce = mixture.NormalMixture._reduce
+
+    def counting_reduce(self, x, lower=None):
+        if lower is not None:
+            passes.append(np.size(x))
+        return reduce(self, x, lower)
+
+    post = posterior_mixture(MapPrior.from_study(ALPORT_SOURCE, prior), ALPORT_TARGET)
+    monkeypatch.setattr(mixture.NormalMixture, "_reduce", counting_reduce)
+    posterior_summaries(post, [0.8, 0.95, 0.99])
+    assert 1 <= len(passes) <= 8
