@@ -281,7 +281,14 @@ def _grid_function(args):
         return mp.density, (None, None)
     if args.dist == "map-cdf":
         return mp.cdf, (None, None)
-    return (lambda x: np.log(mp.density(x))), (None, None)
+
+    def log_density(x):
+        p = mp.density(x)
+        if np.all(p > 0.0):     # the rule check holds the far tail only absolutely
+            return np.log(p)
+        raise QuadratureError(f"the MAP density underflows at theta = {x[np.argmin(p > 0.0)]:.12g}")
+
+    return log_density, (None, None)
 
 
 def _cmd_grid(args) -> None:

@@ -64,24 +64,31 @@ def normal_pdf(offset, precision):
 class NormalMixture:
     """Finite normal mixture: component k has weight ``weights[k]``, mean
     ``center + offsets[k]`` (``offsets`` may be one number for all) and
-    precision ``precisions[k]``.  Every evaluation is one pass over the
-    components, ``_BLOCK`` rows at a time."""
+    precision ``precisions[k]``.  The only evaluator of the normal kernel
+    over components: every evaluation is one :meth:`_reduce` pass."""
 
     center: float
     weights: np.ndarray
     offsets: np.ndarray | float
     precisions: np.ndarray
 
-    def _reduce(self, x: np.ndarray, lower=None) -> np.ndarray:
+    def _reduce(self, x: np.ndarray, lower=None, moments: bool = False) -> np.ndarray:
         """Density at offsets ``x`` from the center or, given ``lower``, the
-        lower (where True) or upper tail and the density."""
+        lower (where True) or upper tail and the density; ``moments`` adds
+        the density weights w sqrt(prec / 2 pi) times prec and prec^2."""
+        scaled = self.weights * np.sqrt(self.precisions / (2.0 * math.pi))
+        columns = np.stack([scaled, scaled * self.precisions,
+                            scaled * np.square(self.precisions)], axis=1) if moments else scaled
+
         def block(i):
             z = x[i:i + _BLOCK, None] - self.offsets
+            e = -0.5 * np.square(z) * self.precisions
+            out = np.exp(e, out=e) @ columns        # in place: one matrix per block
             if lower is None:
-                return normal_pdf(z, self.precisions) @ self.weights
+                return out
             z *= np.where(lower[i:i + _BLOCK, None], 1.0, -1.0)
-            return np.stack([special.ndtr(z * np.sqrt(self.precisions)) @ self.weights,
-                             normal_pdf(z, self.precisions) @ self.weights], axis=1)
+            e = special.ndtr(np.multiply(z, np.sqrt(self.precisions), out=e), out=e)
+            return np.column_stack([e @ self.weights, out])
 
         return np.concatenate([block(i) for i in range(0, max(x.size, 1), _BLOCK)])
 
@@ -200,12 +207,13 @@ class MapPrior:
     def _mixture_variances(self, tau: np.ndarray) -> np.ndarray:
         return self.base_variance + 2.0 * np.square(tau)
 
-    def _inverse_variances(self, tau: np.ndarray) -> np.ndarray:
-        # 0 where tau is so large (or infinite) that the variance overflows
-        with np.errstate(over="ignore"):
-            return 1.0 / self._mixture_variances(tau)
-
     # -- pointwise evaluations -------------------------------------------
+
+    def _mixture(self, tau: np.ndarray, weights: np.ndarray) -> NormalMixture:
+        """The normal mixture on tau nodes with these weights; a precision is
+        0 where tau is so large (or infinite) that the variance overflows."""
+        with np.errstate(over="ignore"):
+            return NormalMixture(self.location, weights, 0.0, 1.0 / self._mixture_variances(tau))
 
     def _mixing_rule(self, reach: float) -> MixingRule:
         """The tau rule, built or extended to serve offsets up to ``reach``."""
@@ -213,10 +221,9 @@ class MapPrior:
         if rule is None or rule.reach < reach:
             unit = self.base_se
             reach = unit * 2.0 ** math.ceil(math.log2(reach / unit))
-            inv = self._inverse_variances
-            rule = mixing_rule(self.tau_prior, unit, reach, (
-                (lambda d, tau: normal_pdf(d, inv(tau)), 0.0),
-                (lambda d, tau: special.ndtr(-np.abs(d) * np.sqrt(inv(tau))), 0.0)))
+            # the mixture is symmetric: the upper tail and the density at d >= 0
+            rule = mixing_rule(self.tau_prior, unit, reach, lambda tau, weights, d: self._mixture(
+                tau, weights)._reduce(d, np.zeros(d.size, dtype=bool)))
             object.__setattr__(self, "_rule", rule)
         return rule
 
@@ -225,8 +232,7 @@ class MapPrior:
         reach = np.abs(np.asarray(theta, dtype=float) - self.location)
         rule = self._mixing_rule(float(np.max(reach[np.isfinite(reach)], initial=0.0))
                                  + self.base_se)
-        return NormalMixture(self.location, rule.weights, 0.0,
-                             self._inverse_variances(rule.nodes))
+        return self._mixture(rule.nodes, rule.weights)
 
     def density(self, theta):
         """Mixture density, symmetric about the location; vectorized."""
@@ -237,21 +243,11 @@ class MapPrior:
         return self._on_rule(theta).cdf(theta)
 
     def _density_and_curvature(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        """Density and second derivative of the log density, from one pass
-        over the rule: the density and its first two theta derivatives are
-        three contractions of the same exponential matrix."""
+        """Density and second derivative of the log density, from the
+        moments pass of :meth:`NormalMixture._reduce` over the rule."""
         theta = np.asarray(theta, dtype=float)
-        mix = self._on_rule(theta)
-        inv = mix.precisions
-        scaled = mix.weights * np.sqrt(inv / (2.0 * math.pi))
-        columns = np.stack([scaled, scaled * inv, scaled * np.square(inv)], axis=1)
-        d = np.atleast_1d(theta).ravel() - self.location
-
-        def block(i):
-            e = -0.5 * np.square(d[i:i + _BLOCK, None]) * inv
-            return np.exp(e, out=e) @ columns      # in place, to hold one matrix
-
-        p, m1, m2 = np.concatenate([block(i) for i in range(0, max(d.size, 1), _BLOCK)]).T
+        d = theta.ravel() - self.location
+        p, m1, m2 = self._on_rule(theta)._reduce(d, moments=True).T
         with np.errstate(divide="ignore", invalid="ignore"):     # p''/p - (p'/p)^2
             curv = (np.square(d) * m2 - m1) / p - np.square(-d * m1 / p)
         return p.reshape(theta.shape), curv.reshape(theta.shape)

@@ -8,10 +8,11 @@ Mixing rules
 ------------
 :func:`mixing_rule` builds a fixed set of tau nodes whose weights are the
 Gauss-Legendre weight times the prior density times the Jacobian, so that a
-mixing integral of any kernel becomes ``kernel(d, nodes) @ weights``.  A
+mixing integral of any kernel becomes ``kernel(nodes) @ weights``.  A
 :class:`~mapprior.mixture.MapPrior` builds one lazily and reuses it for every
 density, CDF, curvature, quantile and ESS evaluation; a shrinkage posterior
-builds its own, checked against the posterior's density and tail kernels.
+builds its own.  On either, :class:`~mapprior.mixture.NormalMixture` does
+the evaluating.
 
 Layout.  A first panel covers [0, t0], with t0 half the smaller of the
 inner scale (the source SE, below which the normal kernel is flat in tau)
@@ -33,13 +34,13 @@ Check.  A rule is built for a reach: the largest offset |theta - y1| it
 must serve.  It is checked once, when it is built, against the same layout
 with every panel halved and nothing pruned, plus the prior mass beyond the
 last panel placed at tau = inf (where every kernel takes its limit).  The
-caller's kernels are compared at probe offsets spanning [0, reach], with
-the tolerances :func:`adaptive_quad` applies (1e-9 relative, and values
-below 1e-12 of the largest, or below a kernel's absolute floor, held
-absolutely).  A rule that fails raises :class:`QuadratureError` with the
-achieved error.  A rule checked for a reach serves every smaller one; an
-evaluation that reaches further makes its owner build and check a rule for
-the larger reach.
+caller's check, the tail and the density of the mixture the rule serves,
+is compared at probe offsets spanning [0, reach], each quantity with the
+tolerances :func:`adaptive_quad` applies (1e-9 relative, and values below
+1e-12 of its largest held absolutely).  A rule that fails raises
+:class:`QuadratureError` with the achieved error.  A rule checked for a
+reach serves every smaller one; an evaluation that reaches further makes
+its owner build and check a rule for the larger reach.
 
 Adaptive panel doubling
 -----------------------
@@ -65,7 +66,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -334,16 +335,16 @@ def _rule_nodes(prior, t0: float, edges: np.ndarray,
 
 
 def mixing_rule(prior, inner_scale: float, reach: float,
-                kernels: Sequence[tuple[Callable, float]]) -> MixingRule:
+                check: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]) -> MixingRule:
     """Build and check the tau mixing rule of ``prior`` for offsets up to
     ``reach``.
 
     ``prior`` is duck-typed like :func:`mix_against_prior`'s, plus ``cdf``.
-    ``inner_scale`` is the smallest tau scale the kernels resolve (the
-    source standard error).  ``kernels`` pairs each kernel the rule will
-    serve with its absolute floor (see :func:`adaptive_quad`); a kernel maps
-    a (k, 1) array of offsets and a tau array to a (k, tau) array and must
-    accept ``tau = inf``.
+    ``inner_scale`` is the smallest tau scale the rule resolves (the source
+    standard error).  ``check(tau, weights, d)`` evaluates what the rule
+    will serve, on tau nodes with these weights, at the probe offsets ``d``:
+    a (d.size, q) array with one column per quantity, each held to
+    ``RULE_TOL``.  It must accept ``tau = inf``.
 
     Raises
     ------
@@ -363,10 +364,9 @@ def mixing_rule(prior, inner_scale: float, reach: float,
     ref_w = np.append(ref_w[ref_w > 0.0], beyond)
 
     probes = np.geomspace(min(inner_scale / 16.0, reach), reach, _RULE_PROBES)
-    d = np.concatenate(([0.0], probes))[:, None]
-    achieved = max(_refinement_error(kernel(d, tau) @ weights,
-                                     kernel(d, ref_tau) @ ref_w, floor)
-                   for kernel, floor in kernels)
+    d = np.concatenate(([0.0], probes))
+    achieved = max(_refinement_error(new, old, 0.0) for new, old in
+                   zip(check(tau, weights, d).T, check(ref_tau, ref_w, d).T))
     if not achieved <= RULE_TOL:
         raise QuadratureError(
             f"tau mixing rule ({tau.size} nodes, reach {reach:.3g}) disagrees "

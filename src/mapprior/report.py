@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvalidParameterError
 from .information import ess_for_map_prior, uisd
 from .mixture import MapPrior
 from .priors import HeterogeneityPrior
@@ -95,6 +95,8 @@ def run_map_report(source: StudyEstimate,
     :class:`ConfigurationError` is raised.
     """
     levels = [float(lv) for lv in levels]
+    if not (levels and all(0.0 < lv < 1.0 for lv in levels)):
+        raise InvalidParameterError(f"need interval levels in (0, 1), got {levels}")
     map_prior = MapPrior.from_study(source, tau_prior)
     uisd_value = _resolve_uisd(source, uisd_override)
     ess = ess_for_map_prior(map_prior, uisd_value)

@@ -26,7 +26,7 @@ from .study import StudyEstimate
 __all__ = ["PosteriorSummary", "ShrinkagePosterior", "mac_oracle", "posterior_mixture",
            "posterior_summaries", "posterior_summary", "shrinkage_posterior", "width_ratio"]
 
-#: default number of grid points for posterior densities
+#: grid points of a tabulated posterior density
 GRID_POINTS = 4001
 
 
@@ -48,29 +48,22 @@ def posterior_mixture(source_map: MapPrior, target: StudyEstimate) -> NormalMixt
     y2, v2 = target.y, target.variance
     gap = source_map.location - y2
 
-    def components(tau):
-        inv = source_map._inverse_variances(tau)   # 0 at tau = inf
+    def mixture(tau, w):
+        inv = source_map._mixture(tau, w).precisions   # the prior's; 0 at tau = inf
         share = inv / (inv + 1.0 / v2)
-        return normal_pdf(gap, share / v2), gap * share, inv + 1.0 / v2
+        return NormalMixture(y2, normal_pdf(gap, share / v2) * w, gap * share, inv + 1.0 / v2)
 
-    def kernel(d, tau, tails):
-        # the lower tail at y2 - d and the upper at y2 + d, or the density
-        weight, offsets, precisions = components(tau)
-        z = np.concatenate([-d - offsets, offsets - d])
-        return weight * (special.ndtr(z * np.sqrt(precisions)) if tails
-                         else normal_pdf(z, precisions))
-
+    # the lower tail at y2 - d and the upper at y2 + d, with the density at each
     rule = mixing_rule(source_map.tau_prior, min(source_map.base_se, target.se),
-                       abs(gap) + 8.0 * target.se,
-                       [(functools.partial(kernel, tails=tails), 0.0) for tails in (0, 1)])
-    weight, offsets, precisions = components(rule.nodes)
-    weights = weight * rule.weights
-    keep = weights > 1e-16 * np.sum(weights)
+                       abs(gap) + 8.0 * target.se, lambda tau, w, d: mixture(tau, w)._reduce(
+                           np.concatenate([-d, d]), np.repeat([True, False], d.size)))
+    mix = mixture(rule.nodes, rule.weights)
+    keep = mix.weights > 1e-16 * np.sum(mix.weights)
     if not keep.any():
         raise QuadratureError("every posterior component weight underflows: the "
                               "estimates conflict beyond floating-point range")
-    return NormalMixture(y2, weights[keep] / np.sum(weights[keep]), offsets[keep],
-                         precisions[keep])
+    return NormalMixture(y2, mix.weights[keep] / np.sum(mix.weights[keep]), mix.offsets[keep],
+                         mix.precisions[keep])
 
 
 @dataclass(frozen=True)
@@ -107,14 +100,13 @@ def _normalized(grid: np.ndarray, unnorm: np.ndarray, source_map: MapPrior,
 
 
 def shrinkage_posterior(source: StudyEstimate, target: StudyEstimate,
-                        tau_prior: HeterogeneityPrior,
-                        points: int = GRID_POINTS) -> ShrinkagePosterior:
+                        tau_prior: HeterogeneityPrior) -> ShrinkagePosterior:
     """Posterior for the target effect: predictive prior times likelihood,
-    its exact density tabulated at ``points`` equally spaced values between
+    its exact density tabulated at ``GRID_POINTS`` equally spaced values between
     its 1e-12 and 1 - 1e-12 quantiles."""
     source_map = MapPrior.from_study(source, tau_prior)
     mixture = posterior_mixture(source_map, target)
-    grid = np.linspace(*mixture.quantiles([1e-12, 1.0 - 1e-12]), points)
+    grid = np.linspace(*mixture.quantiles([1e-12, 1.0 - 1e-12]), GRID_POINTS)
     post = ShrinkagePosterior(grid, mixture.density(grid), source_map, target)
     object.__setattr__(post, "_mixture", mixture)
     return post
@@ -134,14 +126,13 @@ def _mix_by_block(grid: np.ndarray, integrand, prior, inner_scale: float,
 
 
 def mac_oracle(source: StudyEstimate, target: StudyEstimate,
-               tau_prior: HeterogeneityPrior,
-               points: int = GRID_POINTS) -> ShrinkagePosterior:
+               tau_prior: HeterogeneityPrior) -> ShrinkagePosterior:
     """Joint-model route to the same posterior, used as an oracle: given tau
     and a uniform prior on the overall mean, the target effect is normal,
     and tau has weight p(tau) Normal(y2; y1, s1^2 + s2^2 + 2 tau^2).  The
     adaptive engine integrates over tau on the grid of
     :func:`shrinkage_posterior`, and the trapezoidal rule normalizes."""
-    post = shrinkage_posterior(source, target, tau_prior, points)
+    post = shrinkage_posterior(source, target, tau_prior)
     v1, v2 = source.variance, target.variance
     y1, y2 = source.y, target.y
 

@@ -208,6 +208,17 @@ class TestGridCommand:
             assert density == pytest.approx(posterior_density(prior, source, target, x),
                                             rel=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    def test_log_density_underflow_is_refused(self, capsys, tmp_path):
+        # the density is 1e-197 at theta = 200 and underflows to 0 at 300
+        out = tmp_path / "log.tsv"
+        code, _, err = run_cli(capsys, "grid", "--y", "0", "--se", "0.45",
+                               "--prior", "half-normal(0.5)", "--dist", "map-log-density",
+                               "--from", "100", "--to", "400", "--points", "4",
+                               "--out", str(out))
+        assert code == 2 and err.rstrip().endswith("underflows at theta = 300")
+        assert not out.exists()
+
     def test_a0_density_defaults_to_unit_interval(self, capsys, tmp_path):
         out = tmp_path / "a0.tsv"
         code, _, _ = run_cli(capsys, "grid", "--prior", "half-normal(0.5)",

@@ -70,8 +70,9 @@ class TestMixAgainstPrior:
         assert float(val) == pytest.approx(0.49, rel=1e-9)
 
 
-def _ones(d, tau):
-    return np.ones((d.shape[0], np.size(tau)))
+def _mass(tau, weights, d):
+    # one quantity, the same at every probe offset: the mass the rule carries
+    return np.full((d.size, 1), np.sum(weights))
 
 
 class TestMixingRule:
@@ -83,32 +84,46 @@ class TestMixingRule:
         ("uniform", 0.7, None),
     ])
     def test_weights_carry_the_prior_mass(self, family, scale, shape):
-        rule = mixing_rule(make_prior(family, scale, shape), 0.45, 10.0, [(_ones, 0.0)])
+        rule = mixing_rule(make_prior(family, scale, shape), 0.45, 10.0, _mass)
         assert float(np.sum(rule.weights)) == pytest.approx(1.0, rel=1e-12)
         assert np.all(np.diff(rule.nodes) > 0.0) and rule.reach == 10.0
         assert rule.achieved <= 1e-9
 
     def test_known_expectation(self):
-        rule = mixing_rule(make_prior("exponential", 0.49), 0.45, 10.0, [(_ones, 0.0)])
+        rule = mixing_rule(make_prior("exponential", 0.49), 0.45, 10.0, _mass)
         assert float(rule.nodes @ rule.weights) == pytest.approx(0.49, rel=1e-12)
 
     def test_rule_is_read_only(self):
-        rule = mixing_rule(make_prior("half-normal", 0.5), 0.45, 10.0, [(_ones, 0.0)])
+        rule = mixing_rule(make_prior("half-normal", 0.5), 0.45, 10.0, _mass)
         with pytest.raises(ValueError):
             rule.weights[0] = 0.0
 
     def test_failed_check_reports_achieved_error(self):
         # a kernel with a jump inside a panel defeats the refined copy
-        def step(d, tau):
-            return np.broadcast_to(np.where(tau < 0.3137, 1.0, 0.0), (d.shape[0], np.size(tau)))
+        def step(tau, weights, d):
+            return np.full((d.size, 1), np.where(tau < 0.3137, 1.0, 0.0) @ weights)
 
         with pytest.raises(QuadratureError) as exc:
-            mixing_rule(make_prior("half-normal", 0.5), 0.45, 10.0, [(step, 0.0)])
+            mixing_rule(make_prior("half-normal", 0.5), 0.45, 10.0, step)
         assert exc.value.achieved > 1e-9
         assert "achieved relative error" in str(exc.value)
+
+    def test_each_quantity_is_checked_on_its_own_scale(self):
+        # the step column, 1e-20 of the mass column, would pass under the
+        # mass column's scale
+        probes = []
+
+        def mass_and_step(tau, weights, d):
+            probes.append(d)
+            step = np.where(tau < 0.3137, 1e-20, 0.0) @ weights
+            return np.column_stack([_mass(tau, weights, d)[:, 0], np.full(d.size, step)])
+
+        with pytest.raises(QuadratureError):
+            mixing_rule(make_prior("half-normal", 0.5), 0.45, 10.0, mass_and_step)
+        assert probes[0].size == 49 and probes[0][0] == 0.0 and probes[0][-1] == 10.0
 
     def test_unreachable_tail_mass_is_refused(self):
         # shape 0.01 leaves 0.1% of the mass beyond tau = 1e300
         with pytest.raises(QuadratureError) as exc:
-            mixing_rule(make_prior("lomax", 1.0, 0.01), 0.45, 10.0, [(_ones, 0.0)])
+            mixing_rule(make_prior("lomax", 1.0, 0.01), 0.45, 10.0, _mass)
         assert exc.value.achieved == pytest.approx(1e-3, rel=0.01)

@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from mapprior import (ConfigurationError, StudyEstimate, make_prior, run_map_report,
-                      prior_comparison_table)
+from mapprior import (ConfigurationError, InvalidParameterError, StudyEstimate, make_prior,
+                      prior_comparison_table, run_map_report)
 from mapprior.report import render_json, render_report_tsv, render_table_tsv
 
 
@@ -110,6 +110,14 @@ class TestConfiguration:
                                 levels=(0.5, 0.95))
         levels = [iv["level"] for iv in report["map_prior"]["intervals"]]
         assert levels == [0.5, 0.95]
+
+    @pytest.mark.parametrize("levels", [[], [0.0], [0.95, 1.0], [float("nan")]])
+    @pytest.mark.parametrize("with_target", [False, True])
+    def test_bad_levels_rejected(self, alport_source, alport_target, hn05, levels,
+                                 with_target):
+        target = alport_target if with_target else None
+        with pytest.raises(InvalidParameterError, match="interval levels"):
+            run_map_report(alport_source, hn05, target=target, levels=levels)
 
     def test_sample_check_deterministic(self, topcat):
         prior = make_prior("half-normal", 0.25)
