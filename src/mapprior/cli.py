@@ -28,6 +28,7 @@ from .errors import (
     EssInstabilityError,
     InvalidParameterError,
     QuadratureError,
+    as_count,
 )
 from .mixture import MapPrior, normal_pdf
 from .priors import parse_prior_spec
@@ -203,9 +204,7 @@ def _emit(payload, args, render_tsv) -> None:
     """Round ``payload`` as ``--round`` asks, render it as JSON or TSV and
     write it to ``--out``."""
     if args.round_digits is not None:
-        if args.round_digits < 1:
-            raise ConfigurationError("--round needs at least 1 significant digit")
-        payload = round_to_digits(payload, args.round_digits)
+        payload = round_to_digits(payload, as_count(args.round_digits, "--round digits"))
     text = render_json(payload) if args.format == "json" else render_tsv(payload)
     if args.out == "-":
         sys.stdout.write(text)

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import as_real, as_reals
 from .priors import HeterogeneityPrior
 from .mixture import normal_pdf
 from .shrink import ShrinkagePosterior, _mix_by_block, _normalized, shrinkage_posterior
@@ -45,22 +45,16 @@ __all__ = [
 def a0_from_tau(tau, s1: float):
     """Borrowing exponent equivalent to heterogeneity ``tau`` at source
     standard error ``s1``; 1 at tau = 0 (full borrowing), decreasing in tau."""
-    if not (isinstance(s1, (int, float)) and math.isfinite(s1) and s1 > 0):
-        raise InvalidParameterError(f"source standard error must be > 0, got {s1!r}")
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
-        raise InvalidParameterError("heterogeneity must be >= 0")
+    s1 = as_real(s1, "source standard error", 0.0)
+    tau = as_reals(tau, "heterogeneity", 0.0, ends="[)")
     out = s1 ** 2 / (s1 ** 2 + 2.0 * np.square(tau))
     return float(out) if out.ndim == 0 else out
 
 
 def tau_from_a0(a0, s1: float):
     """Inverse of :func:`a0_from_tau` on (0, 1]."""
-    if not (isinstance(s1, (int, float)) and math.isfinite(s1) and s1 > 0):
-        raise InvalidParameterError(f"source standard error must be > 0, got {s1!r}")
-    a0 = np.asarray(a0, dtype=float)
-    if np.any((a0 <= 0.0) | (a0 > 1.0)):
-        raise InvalidParameterError("borrowing exponent must lie in (0, 1]")
+    s1 = as_real(s1, "source standard error", 0.0)
+    a0 = as_reals(a0, "borrowing exponent", 0.0, 1.0, ends="(]")
     out = s1 * np.sqrt((1.0 - a0) / (2.0 * a0))
     return float(out) if out.ndim == 0 else out
 
@@ -81,11 +75,8 @@ def a0_density(tau_prior: HeterogeneityPrior, s1: float, a0):
     half-Student-t with nu = 2 and the Lomax with alpha = 2 alike), and 0
     for lighter tails and bounded support.
     """
-    if not (isinstance(s1, (int, float)) and math.isfinite(s1) and s1 > 0):
-        raise InvalidParameterError(f"source standard error must be > 0, got {s1!r}")
-    a0 = np.asarray(a0, dtype=float)
-    if np.any((a0 < 0.0) | (a0 > 1.0)):
-        raise InvalidParameterError("borrowing exponent must lie in [0, 1]")
+    s1 = as_real(s1, "source standard error", 0.0)
+    a0 = as_reals(a0, "borrowing exponent", 0.0, 1.0, ends="[]")
     k = tau_prior._spec.tail_index(tau_prior.shape)
     zero_limit = (math.inf if k < 2.0 else 0.0 if k > 2.0
                   else 2.0 * (tau_prior.scale / s1) ** 2)

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .errors import DataFormatError, InvalidParameterError
+from .errors import DataFormatError, InvalidParameterError, as_count, as_real
 from .study import StudyEstimate
 
 __all__ = ["parse_ratio_ci", "load_studies_csv", "emit_density_grid", "REQUIRED_COLUMNS"]
@@ -42,13 +42,13 @@ def parse_ratio_ci(estimate: float, lower: float, upper: float,
     >>> parse_ratio_ci(0.53, 0.22, 1.29)   # doctest: +ELLIPSIS
     (-0.63487..., 0.45122...)
     """
-    if not 0.0 < level < 1.0:
-        raise InvalidParameterError(f"interval level must be in (0, 1), got {level!r}")
-    if not (0.0 < lower < estimate < upper):
-        raise InvalidParameterError(
-            f"need 0 < lower < estimate < upper, got ({estimate!r}, {lower!r}, {upper!r})")
+    level = as_real(level, "interval level", 0.0, 1.0)
+    lower = as_real(lower, "interval lower bound", 0.0)
+    estimate = as_real(estimate, "ratio estimate (between lower and upper)", lower)
+    upper = as_real(upper, "interval upper bound", estimate)
     z = float(special.ndtri((1.0 + level) / 2.0))
-    return math.log(estimate), (math.log(upper) - math.log(lower)) / (2.0 * z)
+    se = (math.log(upper) - math.log(lower)) / (2.0 * z)
+    return math.log(estimate), as_real(se, "standard error of the log interval", 0.0)
 
 
 def _cell(row: dict, column: str) -> str:
@@ -72,6 +72,7 @@ def load_studies_csv(path, level: float = 0.95) -> list[StudyEstimate]:
         On a missing header column, an empty file, or a malformed row
         (reported with its line number).
     """
+    level = as_real(level, "interval level", 0.0, 1.0)
     text = Path(path).read_text(encoding="utf-8")
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
@@ -114,11 +115,9 @@ def load_studies_csv(path, level: float = 0.95) -> list[StudyEstimate]:
 def emit_density_grid(fn: Callable[[np.ndarray], np.ndarray],
                       lo: float, hi: float, points: int, path) -> Path:
     """Write a two-column TSV grid (abscissa, value) with 12 significant digits."""
-    if points < 2:
-        raise InvalidParameterError(f"need at least 2 grid points, got {points!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise InvalidParameterError(f"need a finite range with lo < hi, got ({lo!r}, {hi!r})")
-    x = np.linspace(lo, hi, points)
+    points = as_count(points, "grid points", 2)
+    lo = as_real(lo, "grid start")
+    x = np.linspace(lo, as_real(hi, "grid end", lo), points)
     y = np.asarray(fn(x), dtype=float)
     lines = [f"{xi:.12g}\t{yi:.12g}" for xi, yi in zip(x, y)]
     out = Path(path)

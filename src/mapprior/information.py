@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EssInstabilityError, InvalidParameterError
+from .errors import EssInstabilityError, as_count, as_real
 from .mixture import MapPrior
 from .quadrature import panel_nodes
 
@@ -46,11 +46,7 @@ _NEGATIVE_SHARE_LIMIT = 0.5
 
 def uisd(n: int, se: float) -> float:
     """Unit-information standard deviation: sqrt(n) times the standard error."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise InvalidParameterError(f"patient count must be an integer >= 1, got {n!r}")
-    if not (isinstance(se, (int, float)) and math.isfinite(se) and se > 0):
-        raise InvalidParameterError(f"standard error must be > 0, got {se!r}")
-    return math.sqrt(n) * se
+    return math.sqrt(as_count(n, "patient count")) * as_real(se, "standard error", 0.0)
 
 
 def _probability_ladder() -> np.ndarray:
@@ -126,11 +122,9 @@ def ess_elir(density: Callable[[np.ndarray], np.ndarray],
         If local information is negative over a non-negligible share of the
         probability mass, or the expectation itself is not positive.
     """
-    if not (math.isfinite(uisd_value) and uisd_value > 0):
-        raise InvalidParameterError(f"uisd must be > 0, got {uisd_value!r}")
-    lo, hi = float(support[0]), float(support[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise InvalidParameterError(f"support must be a finite range, got {support!r}")
+    uisd_value = as_real(uisd_value, "uisd", 0.0)
+    lo = as_real(support[0], "support lower end")
+    hi = as_real(support[1], "support upper end", lo)
 
     probs = _probability_ladder()
     if quantile is not None:
@@ -156,8 +150,7 @@ def ess_elir(density: Callable[[np.ndarray], np.ndarray],
 def ess_for_map_prior(map_prior: MapPrior, uisd_value: float) -> float:
     """ESS of a scale-mixture prior: panels at its quantiles, local
     information from the analytic log-density curvature."""
-    if not (math.isfinite(uisd_value) and uisd_value > 0):
-        raise InvalidParameterError(f"uisd must be > 0, got {uisd_value!r}")
+    uisd_value = as_real(uisd_value, "uisd", 0.0)
     edges = _panel_edges(map_prior.quantiles(_probability_ladder()))
     nodes, weights = panel_nodes(edges, order=_PANEL_ORDER)
     p, curvature = map_prior._density_and_curvature(nodes)

@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .errors import InvalidParameterError, QuadratureError
+from .errors import QuadratureError, as_count, as_real, as_reals
 from .priors import HeterogeneityPrior
-from .quadrature import MixingRule, mixing_rule
+from .quadrature import MAX_REACH, MixingRule, mixing_rule
 from .study import StudyEstimate
 
 __all__ = ["MapPrior", "NormalMixture", "conditional_moments", "normal_pdf"]
@@ -49,9 +49,6 @@ _QUANTILE_TOL = 1e-8
 #: smallest tail a MapPrior quantile is solved for: the tau rule prunes
 #: far-tail mass up to 1e-23 of the total, more than 1e-6 of a smaller tail
 _TAIL_FLOOR = 1e-17
-
-#: largest offset a MapPrior quantile is solved at: the kernels square it
-_MAX_REACH = 1e150
 
 
 def normal_pdf(offset, precision):
@@ -108,9 +105,7 @@ class NormalMixture:
 
     def quantiles(self, p) -> np.ndarray:
         """Inverse CDF, to ``_QUANTILE_TOL`` relative to the nearer tail."""
-        p = np.asarray(p, dtype=float).ravel()
-        if np.any(~((p > 0.0) & (p < 1.0))):
-            raise InvalidParameterError("quantile needs probabilities in (0, 1)")
+        p = as_reals(p, "quantile probabilities", 0.0, 1.0).ravel()
         return self._solve_tails(np.minimum(p, 1.0 - p), p <= 0.5)
 
     def _solve_tails(self, t: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -168,8 +163,7 @@ def conditional_moments(study: StudyEstimate, tau: float) -> tuple[float, float]
     uncertainty about the underlying mean, one for the new study's own
     deviation from it).
     """
-    if tau < 0:
-        raise InvalidParameterError(f"heterogeneity must be >= 0, got {tau!r}")
+    tau = as_real(tau, "heterogeneity", 0.0, ends="[)")
     return study.y, study.variance + 2.0 * tau ** 2
 
 
@@ -189,11 +183,9 @@ class MapPrior:
                                      compare=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.location)):
-            raise InvalidParameterError(f"location must be finite, got {self.location!r}")
-        if not (math.isfinite(self.base_variance) and self.base_variance > 0):
-            raise InvalidParameterError(
-                f"base variance must be > 0, got {self.base_variance!r}")
+        object.__setattr__(self, "location", as_real(self.location, "location"))
+        object.__setattr__(self, "base_variance",
+                           as_real(self.base_variance, "base variance", 0.0))
 
     @classmethod
     def from_study(cls, study: StudyEstimate, tau_prior: HeterogeneityPrior) -> "MapPrior":
@@ -220,7 +212,8 @@ class MapPrior:
         rule = self._rule
         if rule is None or rule.reach < reach:
             unit = self.base_se
-            reach = unit * 2.0 ** math.ceil(math.log2(reach / unit))
+            if reach <= MAX_REACH:      # rounded up for reuse; beyond, mixing_rule refuses
+                reach = min(unit * 2.0 ** math.ceil(math.log2(reach / unit)), MAX_REACH)
             # the mixture is symmetric: the upper tail and the density at d >= 0
             rule = mixing_rule(self.tau_prior, unit, reach, lambda tau, weights, d: self._mixture(
                 tau, weights)._reduce(d, np.zeros(d.size, dtype=bool)))
@@ -269,11 +262,9 @@ class MapPrior:
         reach Phi^-1(1 - t/2) sqrt(s1^2 + 2 tau_h^2) of the smallest t,
         with tau_h the tau prior's upper t/2 quantile, beyond which the tail
         is below t.  A t below ``_TAIL_FLOOR``, or a reach beyond
-        ``_MAX_REACH``, raises :class:`QuadratureError`.
+        ``MAX_REACH``, raises :class:`QuadratureError`.
         """
-        p = np.asarray(p, dtype=float)
-        if np.any(~((p > 0.0) & (p < 1.0))):
-            raise InvalidParameterError("quantile needs probabilities in (0, 1)")
+        p = as_reals(p, "quantile probabilities", 0.0, 1.0)
         flat = p.ravel()
         if flat.size == 0:
             return np.empty(p.shape)
@@ -285,9 +276,9 @@ class MapPrior:
         half = 0.5 * max(ranked[0], _TAIL_FLOOR)
         reach = -special.ndtri(half) * math.hypot(self.base_se,
                                                   math.sqrt(2.0) * self.tau_prior.isf(half))
-        if not (ranked[0] >= _TAIL_FLOOR and reach <= _MAX_REACH):
+        if not (ranked[0] >= _TAIL_FLOOR and reach <= MAX_REACH):
             raise QuadratureError(f"quantile level {ranked[0]:.3g} is out of reach: the tau rule "
-                                  f"resolves tails to {_TAIL_FLOOR:g} at offsets to {_MAX_REACH:g}")
+                                  f"resolves tails to {_TAIL_FLOOR:g} at offsets to {MAX_REACH:g}")
         upper = self._on_rule(self.location + reach)._solve_tails(
             ranked[first], np.zeros(int(first.sum()), dtype=bool))[np.cumsum(first)[level] - 1]
         q = np.where(flat > 0.5, upper, self.location - (upper - self.location))
@@ -309,9 +300,8 @@ class MapPrior:
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         """Deterministic draws: inverse-CDF tau, then a normal given tau."""
-        if count < 1:
-            raise InvalidParameterError(f"need count >= 1, got {count!r}")
-        rng = np.random.default_rng(seed)
+        count = as_count(count, "draw count")
+        rng = np.random.default_rng(as_count(seed, "seed", 0))
         u = np.maximum(rng.random(count), np.finfo(float).tiny)
         tau = np.asarray(self.tau_prior.quantile(u))
         sd = np.sqrt(self._mixture_variances(tau))

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import special
 
-from .errors import DataFormatError, InvalidParameterError
+from .errors import DataFormatError, InvalidParameterError, as_real, as_reals
 
 __all__ = [
     "HeterogeneityPrior",
@@ -186,7 +186,7 @@ _ALIASES = {
 
 def canonical_family(name: str) -> str:
     """Resolve a (case-insensitive, possibly aliased) family name."""
-    key = name.strip().lower().replace("_", "-")
+    key = name.strip().lower().replace("_", "-") if isinstance(name, str) else None
     key = _ALIASES.get(key, key)
     if key not in _FAMILIES:
         raise InvalidParameterError(
@@ -218,19 +218,9 @@ class HeterogeneityPrior:
     def __post_init__(self):
         object.__setattr__(self, "family", canonical_family(self.family))
         spec = _FAMILIES[self.family]
-        if not (isinstance(self.scale, (int, float)) and math.isfinite(self.scale)
-                and self.scale > 0):
-            raise InvalidParameterError(
-                f"{self.family} prior needs scale > 0, got {self.scale!r}")
-        object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "scale", as_real(self.scale, f"{self.family} scale", 0.0))
         if spec.takes_shape:
-            if self.shape is None:
-                raise InvalidParameterError(
-                    f"{self.family} prior needs a shape parameter")
-            if not (math.isfinite(self.shape) and self.shape > 0):
-                raise InvalidParameterError(
-                    f"{self.family} shape must be > 0, got {self.shape!r}")
-            object.__setattr__(self, "shape", float(self.shape))
+            object.__setattr__(self, "shape", as_real(self.shape, f"{self.family} shape", 0.0))
         elif self.shape is not None:
             raise InvalidParameterError(
                 f"{self.family} prior takes no shape parameter")
@@ -262,9 +252,7 @@ class HeterogeneityPrior:
 
     def quantile(self, p) -> np.ndarray:
         """Inverse CDF; requires 0 < p < 1 elementwise."""
-        p = np.asarray(p, dtype=float)
-        if np.any((p <= 0.0) | (p >= 1.0)):
-            raise InvalidParameterError("quantile needs probabilities in (0, 1)")
+        p = as_reals(p, "quantile probabilities", 0.0, 1.0)
         result = self.scale * self._spec.quantile(p, self.shape)
         return result if result.ndim else float(result)
 
@@ -272,9 +260,7 @@ class HeterogeneityPrior:
         """Upper-tail quantile: the tau with P(tau > isf(q)) = q, in closed
         form, so it stays accurate where 1 - q rounds to 1; ``inf`` where
         the closed form overflows."""
-        q = np.asarray(q, dtype=float)
-        if np.any(~((q > 0.0) & (q < 1.0))):
-            raise InvalidParameterError("isf needs probabilities in (0, 1)")
+        q = as_reals(q, "upper-tail probabilities", 0.0, 1.0)
         with np.errstate(divide="ignore", over="ignore"):
             result = self.scale * self._spec.isf(q, self.shape)
         return result if result.ndim else float(result)
@@ -312,12 +298,8 @@ def scale_for_median(family: str, target_median: float,
     Every family here is a scale family, so the answer is the target median
     divided by the scale-1 member's median.
     """
-    if not (isinstance(target_median, (int, float)) and math.isfinite(target_median)
-            and target_median > 0):
-        raise InvalidParameterError(
-            f"target median must be > 0, got {target_median!r}")
-    probe = make_prior(family, 1.0, shape)
-    return float(target_median) / probe.median
+    target_median = as_real(target_median, "target median", 0.0)
+    return target_median / make_prior(family, 1.0, shape).median
 
 
 _SPEC_RE = re.compile(

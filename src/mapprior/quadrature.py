@@ -31,7 +31,8 @@ tail holding less than 1e-23 of the prior mass, and single nodes below
 1e-26 of it, are pruned; the layout does not depend on the reach.
 
 Check.  A rule is built for a reach: the largest offset |theta - y1| it
-must serve.  It is checked once, when it is built, against the same layout
+must serve, at most ``MAX_REACH`` (1e150, whose square the kernels still
+hold).  It is checked once, when it is built, against the same layout
 with every panel halved and nothing pruned, plus the prior mass beyond the
 last panel placed at tau = inf (where every kernel takes its limit).  The
 caller's check, the tail and the density of the mixture the rule serves,
@@ -272,6 +273,9 @@ _RULE_PROBES = 48
 #: largest tau the layout may reach
 _RULE_MAX_TAU = 1e300
 
+#: largest offset a rule is built for
+MAX_REACH = 1e150
+
 
 @dataclass(frozen=True)
 class MixingRule:
@@ -349,9 +353,13 @@ def mixing_rule(prior, inner_scale: float, reach: float,
     Raises
     ------
     QuadratureError
-        If the rule disagrees with its refined copy beyond ``RULE_TOL``; the
-        achieved error is reported on the exception.
+        If ``reach`` exceeds ``MAX_REACH``, or the rule disagrees with its
+        refined copy beyond ``RULE_TOL`` (or yields NaN); the achieved error
+        is reported on the exception.
     """
+    if not reach <= MAX_REACH:
+        raise QuadratureError(f"offset {reach:.3g} is out of reach: tau rules serve "
+                              f"offsets to {MAX_REACH:g}")
     t0, edges, beyond = _rule_layout(prior, inner_scale)
     tau, weights = _rule_nodes(prior, t0, edges)
     total = float(np.sum(weights))
@@ -365,8 +373,8 @@ def mixing_rule(prior, inner_scale: float, reach: float,
 
     probes = np.geomspace(min(inner_scale / 16.0, reach), reach, _RULE_PROBES)
     d = np.concatenate(([0.0], probes))
-    achieved = max(_refinement_error(new, old, 0.0) for new, old in
-                   zip(check(tau, weights, d).T, check(ref_tau, ref_w, d).T))
+    achieved = float(np.max([_refinement_error(new, old, 0.0) for new, old in
+                             zip(check(tau, weights, d).T, check(ref_tau, ref_w, d).T)]))
     if not achieved <= RULE_TOL:
         raise QuadratureError(
             f"tau mixing rule ({tau.size} nodes, reach {reach:.3g}) disagrees "

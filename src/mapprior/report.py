@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidParameterError
+from .errors import ConfigurationError, InvalidParameterError, as_real, as_reals
 from .information import ess_for_map_prior, uisd
 from .mixture import MapPrior
 from .priors import HeterogeneityPrior
@@ -72,7 +72,7 @@ def _study_echo(study: StudyEstimate) -> dict:
 
 def _resolve_uisd(source: StudyEstimate, uisd_override: float | None) -> float:
     if uisd_override is not None:
-        return float(uisd_override)
+        return as_real(uisd_override, "uisd", 0.0)
     if source.n is not None:
         return uisd(source.n, source.se)
     raise ConfigurationError(
@@ -94,9 +94,9 @@ def run_map_report(source: StudyEstimate,
     patient count unless overridden; with neither available a
     :class:`ConfigurationError` is raised.
     """
-    levels = [float(lv) for lv in levels]
-    if not (levels and all(0.0 < lv < 1.0 for lv in levels)):
-        raise InvalidParameterError(f"need interval levels in (0, 1), got {levels}")
+    levels = as_reals(levels, "interval levels", 0.0, 1.0).ravel().tolist()
+    if not levels:
+        raise InvalidParameterError("need one or more interval levels")
     map_prior = MapPrior.from_study(source, tau_prior)
     uisd_value = _resolve_uisd(source, uisd_override)
     ess = ess_for_map_prior(map_prior, uisd_value)
@@ -108,15 +108,11 @@ def run_map_report(source: StudyEstimate,
     }
     if not math.isfinite(sd):
         map_block["sd_reason"] = "infinite: the heterogeneity prior has no finite second moment"
-    intervals = []
-    for level in levels:
-        lo, hi = map_prior.quantiles(np.array([(1 - level) / 2, (1 + level) / 2]))
-        intervals.append({
-            "level": level,
-            "lower": _log_ratio(float(lo)),
-            "upper": _log_ratio(float(hi)),
-        })
-    map_block["intervals"] = intervals
+    lv = np.asarray(levels)
+    lower, upper = map_prior.quantiles(np.concatenate([(1 - lv) / 2, (1 + lv) / 2])).reshape(2, -1)
+    map_block["intervals"] = [{"level": level, "lower": _log_ratio(float(lo)),
+                               "upper": _log_ratio(float(hi))}
+                              for level, lo, hi in zip(levels, lower, upper)]
     map_block["prob_below_zero"] = round12(map_prior.cdf(0.0))
     map_block["uisd"] = round12(uisd_value)
     map_block["ess_elir"] = round12(ess)
@@ -178,9 +174,10 @@ def prior_comparison_table(source_se: float,
     size, its standard deviation (``None`` when infinite) and centered upper
     quantiles of the mixture at the requested levels.
     """
+    source_se = as_real(source_se, "source standard error", 0.0)
     rows = []
     for prior in tau_priors:
-        mp = MapPrior(location=0.0, base_variance=float(source_se) ** 2, tau_prior=prior)
+        mp = MapPrior(location=0.0, base_variance=source_se ** 2, tau_prior=prior)
         sd = mp.sd()
         # the ESS ladder reaches 1 - 5e-7, so the table's levels then fall
         # inside the tau rule it builds

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy import special
 
-from .errors import GridCoverageError, InvalidParameterError, QuadratureError
+from .errors import GridCoverageError, QuadratureError, as_reals
 from .mixture import _BLOCK, MapPrior, NormalMixture, normal_pdf
 from .priors import HeterogeneityPrior
 from .quadrature import mix_against_prior, mixing_rule
@@ -158,9 +158,7 @@ def posterior_summaries(mixture: NormalMixture,
                         levels: Sequence[float]) -> list[PosteriorSummary]:
     """Median, central credible interval and P(effect < 0) at each level;
     the median and every bound are one quantile solve."""
-    levels = np.asarray(levels, dtype=float)
-    if np.any(~((levels > 0.0) & (levels < 1.0))):
-        raise InvalidParameterError(f"interval level must be in (0, 1), got {levels}")
+    levels = as_reals(levels, "interval levels", 0.0, 1.0)
     tails = (1.0 - levels) / 2.0
     q = mixture.quantiles(np.concatenate([[0.5], tails, 1.0 - tails])).tolist()
     below = float(mixture.cdf(0.0))

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError
+from .errors import as_count, as_real
 
 
 @dataclass(frozen=True)
@@ -30,17 +29,10 @@ class StudyEstimate:
     label: str = ""
 
     def __post_init__(self):
-        if not (isinstance(self.y, (int, float)) and math.isfinite(self.y)):
-            raise InvalidParameterError(f"effect estimate must be finite, got {self.y!r}")
-        if not (isinstance(self.se, (int, float)) and math.isfinite(self.se)
-                and self.se > 0):
-            raise InvalidParameterError(f"standard error must be > 0, got {self.se!r}")
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "se", float(self.se))
+        object.__setattr__(self, "y", as_real(self.y, "effect estimate"))
+        object.__setattr__(self, "se", as_real(self.se, "standard error", 0.0))
         if self.n is not None:
-            if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-                raise InvalidParameterError(
-                    f"patient count must be an integer >= 1, got {self.n!r}")
+            object.__setattr__(self, "n", as_count(self.n, "patient count"))
 
     @property
     def variance(self) -> float:

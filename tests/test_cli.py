@@ -161,6 +161,11 @@ class TestTable2Command:
         rows = json.loads(out)
         assert rows[0]["family"] == "exponential"
 
+    def test_negative_source_se_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "table2", "--se", "-0.451", "--uisd", "3.77",
+                                 "--prior", "half-normal(0.5)")
+        assert code == 1 and out == "" and "source standard error" in err
+
 
 class TestConvertCommand:
     def test_alport_row(self, capsys):
@@ -175,6 +180,12 @@ class TestConvertCommand:
         code, _, err = run_cli(capsys, "convert", "--estimate", "0.53",
                                "--lower", "1.3", "--upper", "1.29")
         assert code == 1 and "lower" in err
+
+    def test_infinite_bound_exits_1(self, capsys, tmp_path):
+        out = tmp_path / "convert.json"
+        code, _, err = run_cli(capsys, "convert", "--estimate", "1", "--lower", "0.5",
+                               "--upper", "inf", "--out", str(out))
+        assert code == 1 and "upper bound" in err and not out.exists()
 
 
 class TestGridCommand:
@@ -218,6 +229,14 @@ class TestGridCommand:
                                "--out", str(out))
         assert code == 2 and err.rstrip().endswith("underflows at theta = 300")
         assert not out.exists()
+
+    def test_offset_beyond_reach_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "far.tsv"
+        code, _, err = run_cli(capsys, "grid", "--y", "0", "--se", "0.45",
+                               "--prior", "half-normal(0.5)", "--dist", "map-density",
+                               "--from", "0", "--to", "1e200", "--points", "3",
+                               "--out", str(out))
+        assert code == 2 and "out of reach" in err and not out.exists()
 
     def test_a0_density_defaults_to_unit_interval(self, capsys, tmp_path):
         out = tmp_path / "a0.tsv"

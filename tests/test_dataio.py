@@ -50,6 +50,12 @@ class TestParseRatioCi:
         with pytest.raises(InvalidParameterError):
             parse_ratio_ci(*args)
 
+    def test_rejects_an_interval_too_narrow_for_its_logs(self):
+        # the logs of neighbouring floats near 1e300 are equal: the SE would be 0
+        lower, upper = math.nextafter(1e300, 0.0), math.nextafter(1e300, math.inf)
+        with pytest.raises(InvalidParameterError, match="standard error"):
+            parse_ratio_ci(1e300, lower, upper)
+
     def test_rejects_bad_level(self):
         with pytest.raises(InvalidParameterError):
             parse_ratio_ci(0.5, 0.2, 1.0, level=1.0)

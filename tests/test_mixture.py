@@ -238,6 +238,14 @@ class TestQuantiles:
         with pytest.raises(MapPriorError, match="tails to 1e-17 at offsets to 1e"):
             MapPrior(0.0, 0.2, prior).quantiles([0.5, p])
 
+    @pytest.mark.parametrize("evaluate", ["density", "cdf", "log_density_curvature"])
+    def test_offset_out_of_reach_is_a_typed_error(self, hn05, evaluate):
+        # squares of offsets beyond 1e150 would overflow in the kernels
+        mp = MapPrior(0.0, 0.2, hn05)
+        assert getattr(mp, evaluate)(np.array([0.0, 0.9e150])).shape == (2,)
+        with pytest.raises(QuadratureError, match="out of reach"):
+            getattr(mp, evaluate)(1e200)
+
     def test_stall_is_a_typed_error(self):
         # near 1e3 the float spacing moves the CDF by far more than 1e-8
         mp = MapPrior(1e3, 1e-24, make_prior("uniform", 1e-14))

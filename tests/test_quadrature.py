@@ -7,6 +7,7 @@ import pytest
 
 from mapprior import QuadratureError, make_prior
 from mapprior.quadrature import (
+    MAX_REACH,
     adaptive_quad,
     fixed_quad,
     mix_against_prior,
@@ -121,6 +122,21 @@ class TestMixingRule:
         with pytest.raises(QuadratureError):
             mixing_rule(make_prior("half-normal", 0.5), 0.45, 10.0, mass_and_step)
         assert probes[0].size == 49 and probes[0][0] == 0.0 and probes[0][-1] == 10.0
+
+    @pytest.mark.parametrize("nan_first", [True, False])
+    def test_nan_in_any_column_is_refused(self, nan_first):
+        def mass_and_nan(tau, weights, d):
+            columns = [_mass(tau, weights, d)[:, 0], np.full(d.size, math.nan)]
+            return np.column_stack(columns[::-1] if nan_first else columns)
+
+        with pytest.raises(QuadratureError):
+            mixing_rule(make_prior("half-normal", 0.5), 0.45, 10.0, mass_and_nan)
+
+    def test_reach_beyond_the_limit_is_refused(self):
+        prior = make_prior("half-normal", 0.5)
+        assert mixing_rule(prior, 0.45, MAX_REACH, _mass).reach == MAX_REACH
+        with pytest.raises(QuadratureError, match="out of reach"):
+            mixing_rule(prior, 0.45, 1e200, _mass)
 
     def test_unreachable_tail_mass_is_refused(self):
         # shape 0.01 leaves 0.1% of the mass beyond tau = 1e300

@@ -3,10 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from mapprior import (ConfigurationError, InvalidParameterError, StudyEstimate, make_prior,
-                      prior_comparison_table, run_map_report)
+from mapprior import (ConfigurationError, InvalidParameterError, MapPrior, StudyEstimate,
+                      make_prior, prior_comparison_table, run_map_report)
+from mapprior import report as report_module
 from mapprior.report import render_json, render_report_tsv, render_table_tsv
 
 
@@ -110,6 +112,17 @@ class TestConfiguration:
                                 levels=(0.5, 0.95))
         levels = [iv["level"] for iv in report["map_prior"]["intervals"]]
         assert levels == [0.5, 0.95]
+
+    def test_levels_solved_together_match_per_level_solves(self, alport_source, hn05,
+                                                           monkeypatch):
+        monkeypatch.setattr(report_module, "round12", float)    # the unrounded bounds
+        levels = (0.5, 0.8, 0.95, 0.99, 0.999)
+        report = run_map_report(alport_source, hn05, levels=levels)
+        mp = MapPrior.from_study(alport_source, hn05)
+        for level, interval in zip(levels, report["map_prior"]["intervals"]):
+            lo, hi = mp.quantiles(np.array([(1 - level) / 2, (1 + level) / 2]))
+            assert interval["lower"]["log"] == pytest.approx(lo, rel=1e-12)
+            assert interval["upper"]["log"] == pytest.approx(hi, rel=1e-12)
 
     @pytest.mark.parametrize("levels", [[], [0.0], [0.95, 1.0], [float("nan")]])
     @pytest.mark.parametrize("with_target", [False, True])

@@ -215,6 +215,11 @@ def test_far_apart_tiny_ses_centre_on_the_target():
     assert summary.upper - summary.lower == pytest.approx(2 * ndtri(0.975) * 2e-4, rel=0.01)
 
 
+def test_target_out_of_reach_is_a_typed_error():
+    with pytest.raises(QuadratureError, match="out of reach"):
+        posterior_mixture(MapPrior(0.0, 0.2, HN05), StudyEstimate(1e200, 1.0))
+
+
 def test_stall_is_a_typed_error():
     # near 1e3 the float spacing moves the CDF by far more than 1e-8, and
     # each pass reads the tail at the point it would return
