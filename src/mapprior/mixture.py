@@ -213,7 +213,8 @@ class MapPrior:
         if rule is None or rule.reach < reach:
             unit = self.base_se
             if reach <= MAX_REACH:      # rounded up for reuse; beyond, mixing_rule refuses
-                reach = min(unit * 2.0 ** math.ceil(math.log2(reach / unit)), MAX_REACH)
+                octaves = math.ceil(math.log2(reach) - math.log2(unit))   # no overflow at tiny s1
+                reach = min(math.ldexp(unit, octaves), MAX_REACH)
             # the mixture is symmetric: the upper tail and the density at d >= 0
             rule = mixing_rule(self.tau_prior, unit, reach, lambda tau, weights, d: self._mixture(
                 tau, weights)._reduce(d, np.zeros(d.size, dtype=bool)))
@@ -246,9 +247,9 @@ class MapPrior:
         return p.reshape(theta.shape), curv.reshape(theta.shape)
 
     def log_density_curvature(self, theta):
-        """Second derivative of the log density, by differentiation under
-        the integral; the analytic local information behind the ESS."""
-        return self._density_and_curvature(theta)[1][()]
+        """Second derivative of the log density at finite theta (the limit at
+        +-inf depends on the family), by differentiation under the integral."""
+        return self._density_and_curvature(as_reals(theta, "theta"))[1][()]
 
     # -- quantiles --------------------------------------------------------
 

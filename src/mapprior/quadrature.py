@@ -31,12 +31,13 @@ tail holding less than 1e-23 of the prior mass, and single nodes below
 1e-26 of it, are pruned; the layout does not depend on the reach.
 
 Check.  A rule is built for a reach: the largest offset |theta - y1| it
-must serve, at most ``MAX_REACH`` (1e150, whose square the kernels still
-hold).  It is checked once, when it is built, against the same layout
-with every panel halved and nothing pruned, plus the prior mass beyond the
-last panel placed at tau = inf (where every kernel takes its limit).  The
-caller's check, the tail and the density of the mixture the rule serves,
-is compared at probe offsets spanning [0, reach], each quantity with the
+must serve, at most ``MAX_REACH`` (1e150) and ``MAX_REACH_SCALES`` (1e153)
+inner scales: the kernels still hold its square times their precisions.
+It is checked once, when it is built, against the same layout with every
+panel halved and nothing pruned, plus the prior mass beyond the last panel
+placed at tau = inf (where every kernel takes its limit).  The caller's
+check, the tail and the density of the mixture the rule serves, is
+compared at probe offsets spanning [0, reach], each quantity with the
 tolerances :func:`adaptive_quad` applies (1e-9 relative, and values below
 1e-12 of its largest held absolutely).  A rule that fails raises
 :class:`QuadratureError` with the achieved error.  A rule checked for a
@@ -213,7 +214,8 @@ def mix_against_prior(f: Callable[[np.ndarray], np.ndarray],
 
     ``prior`` is duck-typed: it must provide ``density(tau_array)``,
     ``quantile(p)`` and ``support_upper`` (``inf`` for half-line families).
-    ``f`` maps a tau array to values whose last axis matches tau.
+    ``f`` maps a tau array to a float array it owns, whose last axis matches
+    tau: the prior density (times any Jacobian) multiplies it in place.
 
     ``inner_scale`` and ``outer_scale`` are the smallest and largest tau
     values (in tau units) at which ``f`` still has structure; they steer the
@@ -226,7 +228,7 @@ def mix_against_prior(f: Callable[[np.ndarray], np.ndarray],
         lo_frac = inner_scale / upper if inner_scale else 0.0
 
         def g(tau: np.ndarray) -> np.ndarray:
-            return np.asarray(f(tau)) * prior.density(tau)
+            return np.multiply(values := f(tau), prior.density(tau), out=values)
 
         return adaptive_quad(g, 0.0, upper, rel_tol=rel_tol, abs_floor=abs_floor,
                              lo_fraction=lo_frac)
@@ -237,8 +239,8 @@ def mix_against_prior(f: Callable[[np.ndarray], np.ndarray],
 
     def g(u: np.ndarray) -> np.ndarray:
         tau = pivot * u / (1.0 - u)
-        jacobian = pivot / (1.0 - u) ** 2
-        return np.asarray(f(tau)) * (prior.density(tau) * jacobian)
+        values = f(tau)
+        return np.multiply(values, prior.density(tau) * (pivot / (1.0 - u) ** 2), out=values)
 
     return adaptive_quad(g, 0.0, 1.0, rel_tol=rel_tol, abs_floor=abs_floor,
                          lo_fraction=lo_frac, hi_fraction=hi_frac)
@@ -273,8 +275,9 @@ _RULE_PROBES = 48
 #: largest tau the layout may reach
 _RULE_MAX_TAU = 1e300
 
-#: largest offset a rule is built for
+#: largest offset a rule is built for, absolute and in inner scales
 MAX_REACH = 1e150
+MAX_REACH_SCALES = 1e153
 
 
 @dataclass(frozen=True)
@@ -301,7 +304,8 @@ def _rule_layout(prior, inner_scale: float) -> tuple[float, np.ndarray, float]:
     if math.isfinite(upper):
         top, beyond = upper, 0.0
     else:
-        ladder = np.ldexp(t0, np.arange(1, math.floor(math.log2(_RULE_MAX_TAU / t0)) + 1))
+        octaves = math.floor(math.log2(_RULE_MAX_TAU) - math.log2(t0))     # no overflow at tiny t0
+        ladder = np.ldexp(t0, np.arange(1, octaves + 1))
         with np.errstate(over="ignore"):
             left = np.maximum(1.0 - np.asarray(prior.cdf(ladder)),
                               ladder * np.asarray(prior.density(ladder)))
@@ -353,13 +357,14 @@ def mixing_rule(prior, inner_scale: float, reach: float,
     Raises
     ------
     QuadratureError
-        If ``reach`` exceeds ``MAX_REACH``, or the rule disagrees with its
-        refined copy beyond ``RULE_TOL`` (or yields NaN); the achieved error
-        is reported on the exception.
+        If ``reach`` exceeds ``MAX_REACH`` or ``MAX_REACH_SCALES`` inner
+        scales, or the rule disagrees with its refined copy beyond
+        ``RULE_TOL`` (or yields NaN); the achieved error is reported on the
+        exception.
     """
-    if not reach <= MAX_REACH:
-        raise QuadratureError(f"offset {reach:.3g} is out of reach: tau rules serve "
-                              f"offsets to {MAX_REACH:g}")
+    if not reach <= min(MAX_REACH, MAX_REACH_SCALES * inner_scale):
+        raise QuadratureError(f"offset {reach:.3g} is out of reach: tau rules serve offsets "
+                              f"to {MAX_REACH:g} and to {MAX_REACH_SCALES:g} inner scales")
     t0, edges, beyond = _rule_layout(prior, inner_scale)
     tau, weights = _rule_nodes(prior, t0, edges)
     total = float(np.sum(weights))

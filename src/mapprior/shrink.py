@@ -3,8 +3,8 @@
 Given tau, the predictive prior times the target's normal likelihood is a
 normal, so on a tau mixing rule the target's posterior is a finite normal
 mixture whose summaries need no grid.  :func:`shrinkage_posterior` tabulates
-its density for the independent routes, which evaluate their own densities
-on that grid; :func:`mac_oracle` keeps its own algebra on the adaptive engine.
+its density; the independent routes read its grid but not that density, and
+evaluate their own on it, :func:`mac_oracle` with its own algebra.
 """
 
 from __future__ import annotations
@@ -99,23 +99,37 @@ def _normalized(grid: np.ndarray, unnorm: np.ndarray, source_map: MapPrior,
                               source_map=source_map, target=target)
 
 
+def _posterior_grid(source, target, tau_prior) -> tuple[MapPrior, NormalMixture, np.ndarray]:
+    """The predictive prior, the posterior mixture and the grid of :func:`shrinkage_posterior`."""
+    source_map = MapPrior.from_study(source, tau_prior)
+    mixture = posterior_mixture(source_map, target)
+    return source_map, mixture, np.linspace(*mixture.quantiles([1e-12, 1.0 - 1e-12]), GRID_POINTS)
+
+
 def shrinkage_posterior(source: StudyEstimate, target: StudyEstimate,
                         tau_prior: HeterogeneityPrior) -> ShrinkagePosterior:
     """Posterior for the target effect: predictive prior times likelihood,
     its exact density tabulated at ``GRID_POINTS`` equally spaced values between
     its 1e-12 and 1 - 1e-12 quantiles."""
-    source_map = MapPrior.from_study(source, tau_prior)
-    mixture = posterior_mixture(source_map, target)
-    grid = np.linspace(*mixture.quantiles([1e-12, 1.0 - 1e-12]), GRID_POINTS)
+    source_map, mixture, grid = _posterior_grid(source, target, tau_prior)
     post = ShrinkagePosterior(grid, mixture.density(grid), source_map, target)
     object.__setattr__(post, "_mixture", mixture)
     return post
 
 
-def _mix_by_block(grid: np.ndarray, integrand, prior, inner_scale: float,
+def _mix_by_block(grid: np.ndarray, kernel, prior, inner_scale: float,
                   outer_scale) -> np.ndarray:
-    """:func:`mix_against_prior` of ``integrand(col, tau)`` at every grid
-    point, 512 points a pass; ``outer_scale(col)`` is its widest feature."""
+    """:func:`mix_against_prior` at every grid point, 512 points a pass, of
+    weight * normal_pdf(theta - mean, precision) with ``(mean, precision, weight)
+    = kernel(tau)``, in one buffer; ``outer_scale(col)`` is its widest feature."""
+
+    def integrand(col: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        mean, precision, weight = kernel(tau)
+        z = np.subtract(col, mean, out=np.empty((col.size, tau.size)))
+        z *= z
+        z *= -0.5 * precision
+        return np.multiply(np.exp(z, out=z), weight * np.sqrt(precision / (2.0 * math.pi)), out=z)
+
     out = np.empty(grid.size)
     for start in range(0, grid.size, _BLOCK):
         col = grid[start:start + _BLOCK][:, None]
@@ -132,26 +146,26 @@ def mac_oracle(source: StudyEstimate, target: StudyEstimate,
     and tau has weight p(tau) Normal(y2; y1, s1^2 + s2^2 + 2 tau^2).  The
     adaptive engine integrates over tau on the grid of
     :func:`shrinkage_posterior`, and the trapezoidal rule normalizes."""
-    post = shrinkage_posterior(source, target, tau_prior)
+    source_map, _, grid = _posterior_grid(source, target, tau_prior)
     v1, v2 = source.variance, target.variance
     y1, y2 = source.y, target.y
 
-    def conditional_mixture(col: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    def conditional_mixture(tau: np.ndarray):
         rho = np.square(tau)
         mean_mu = (y1 * (v2 + rho) + y2 * (v1 + rho)) / (v1 + v2 + 2.0 * rho)
         var_mu = (v1 + rho) * (v2 + rho) / (v1 + v2 + 2.0 * rho)
         blend = v2 / (rho + v2)
         mean_t = (rho * y2 + v2 * mean_mu) / (rho + v2)
-        var_t = rho * v2 / (rho + v2) + np.square(blend) * var_mu
+        precision = 1.0 / (rho * v2 / (rho + v2) + np.square(blend) * var_mu)
         weight = normal_pdf(y2 - y1, 1.0 / (v1 + v2 + 2.0 * rho))
-        return weight * normal_pdf(col - mean_t, 1.0 / var_t)
+        return mean_t, precision, weight
 
     def outer_scale(col: np.ndarray) -> float:
         return max(float(np.max(np.abs(col - y1))), abs(y1 - y2)) + source.se + target.se
 
-    values = _mix_by_block(post.grid, conditional_mixture, tau_prior,
+    values = _mix_by_block(grid, conditional_mixture, tau_prior,
                            0.5 * min(source.se, target.se), outer_scale)
-    return _normalized(post.grid, values, post.source_map, target)
+    return _normalized(grid, values, source_map, target)
 
 
 def posterior_summaries(mixture: NormalMixture,

@@ -32,6 +32,10 @@ FAMILIES = [("half-normal", None), ("half-student-t", 5.0), ("half-cauchy", None
 ALPORT = StudyEstimate(y=-0.635, se=0.451, n=70, label="observational")
 TOPCAT = StudyEstimate(y=-0.117, se=0.077, n=3445, label="TOPCAT")
 
+#: priors checked at source SEs far below their scale
+TINY_SE_PRIORS = [make_prior("half-normal", 0.5), make_prior("half-cauchy", 0.3),
+                  make_prior("lomax", 1.0, 1.0)]
+
 
 @pytest.fixture(scope="module")
 def alport_map(hn05):
@@ -325,6 +329,16 @@ class TestLogDensityCurvature:
         np.testing.assert_allclose(mp.log_density_curvature(pts),
                                    -1.0 / ALPORT.se ** 2, rtol=1e-6)
 
+    @pytest.mark.parametrize("theta", [np.inf, -np.inf, [0.0, np.inf]])
+    def test_non_finite_theta_is_refused(self, hn05, theta):
+        # the limit at +-inf depends on the family: 0 for unbounded tau,
+        # -1/(s1^2 + 2 s^2) for uniform(s)
+        mp = MapPrior(0.1, 0.2, hn05)
+        with pytest.raises(InvalidParameterError, match="theta"):
+            mp.log_density_curvature(theta)
+        assert mp.density(np.inf) == 0.0
+        assert (mp.cdf(-np.inf), mp.cdf(np.inf)) == (0.0, 1.0)
+
 
 def _floored_error(got, ref, floor=0.0):
     """Largest error relative to the reference, with values below 1e-12 of
@@ -388,6 +402,26 @@ class TestMixingRule:
         mp.quantiles(np.array([0.001, 0.5, 0.999]))
         ess_for_map_prior(mp, uisd(70, 0.451))
         assert len(reaches) == built
+
+    @pytest.mark.parametrize("prior", TINY_SE_PRIORS, ids=lambda prior: prior.spec_string())
+    @pytest.mark.parametrize("se", [1e-8, 1e-12])
+    def test_tiny_source_se_against_scipy_oracle(self, prior, se):
+        # below an SE of 1.1e-8, (largest tau) / (half the SE) overflows
+        mp = MapPrior.from_study(StudyEstimate(0.0, se), prior)
+        assert math.isfinite(mp.density(0.0)) and mp.density(0.0) > 0.0
+        x = np.array([-2.0, -0.3, 0.0, 0.1, 2.0])
+        for value, cdf in zip(x, mp.cdf(x)):
+            assert abs(mixture_cdf(prior, 0.0, se, float(value)) - cdf) <= 1e-9
+
+    @pytest.mark.parametrize("prior", TINY_SE_PRIORS, ids=lambda prior: prior.spec_string())
+    def test_tau_scales_beyond_the_layout_are_a_typed_error(self, prior):
+        with pytest.raises(MapPriorError):
+            MapPrior.from_study(StudyEstimate(0.0, 1e-100), prior).density(0.0)
+
+    def test_offset_of_many_source_ses_is_a_typed_error(self, hn05):
+        # 1e140 is within MAX_REACH, but its square over 1e-300 overflows
+        with pytest.raises(QuadratureError, match="out of reach"):
+            MapPrior(0.0, 1e-300, hn05).density(1e140)
 
     def test_rule_is_not_part_of_equality(self, hn05):
         a = MapPrior(0.0, 0.2, hn05)

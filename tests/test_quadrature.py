@@ -70,6 +70,14 @@ class TestMixAgainstPrior:
         val = mix_against_prior(lambda tau: tau, prior)
         assert float(val) == pytest.approx(0.49, rel=1e-9)
 
+    @pytest.mark.parametrize("family,scale", [("half-normal", 0.5), ("uniform", 0.7)])
+    def test_integrand_returning_its_argument(self, family, scale):
+        # the prior weight multiplies the integrand's values in place, here
+        # the tau array itself, after the prior density has read it
+        prior = make_prior(family, scale)
+        val = mix_against_prior(lambda tau: tau, prior)
+        assert float(val) == pytest.approx(prior.mean(), rel=1e-9)
+
 
 def _mass(tau, weights, d):
     # one quantity, the same at every probe offset: the mass the rule carries

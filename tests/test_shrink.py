@@ -16,11 +16,12 @@ from mapprior import (
     make_prior,
     parse_ratio_ci,
     posterior_summary,
+    reference_model_posterior,
     shrinkage_posterior,
     width_ratio,
 )
 from mapprior import mixture
-from mapprior.shrink import posterior_mixture, posterior_summaries
+from mapprior.shrink import GRID_POINTS, posterior_mixture, posterior_summaries
 
 FAMILY_POOL = [
     ("half-normal", False),
@@ -185,6 +186,25 @@ class TestMacOracle:
             post = shrinkage_posterior(source, target, hn05)
             pulls.append(target.y - post.mixture.mean())
         assert all(p >= -1e-9 for p in pulls)
+
+
+@pytest.mark.parametrize("problem", [
+    (ALPORT_SOURCE, ALPORT_TARGET, HN05),
+    (StudyEstimate(0.4, 0.3), StudyEstimate(-0.5, 0.2), make_prior("lomax", 1.0, 0.7)),
+], ids=["alport", "lomax-0.7"])
+def test_oracles_read_the_grid_without_tabulating(problem, monkeypatch):
+    grid = shrinkage_posterior(*problem).grid
+    sizes = []
+    density = mixture.NormalMixture.density
+
+    def counting(self, theta):
+        sizes.append(np.size(theta))
+        return density(self, theta)
+
+    monkeypatch.setattr(mixture.NormalMixture, "density", counting)
+    for route in (mac_oracle, reference_model_posterior):
+        np.testing.assert_array_equal(route(*problem).grid, grid)
+    assert GRID_POINTS not in sizes
 
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES))
