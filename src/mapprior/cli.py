@@ -9,11 +9,15 @@ convert  ratio-scale confidence interval -> log-scale estimate and SE
 grid     two-column density/CDF grid export for plotting
 
 Exit codes: 0 success, 1 validation/usage error, 2 numeric failure.
+
+:func:`main` builds its parser once per process, on its first call, and
+reuses it; :func:`build_parser` returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -150,6 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--points", type=int, default=200)
     p_grid.add_argument("--out", required=True, metavar="PATH")
     return parser
+
+
+#: the parser of :func:`main`; parsing keeps no state in it
+_parser = functools.cache(build_parser)
 
 
 def _direct_study(args) -> StudyEstimate | None:
@@ -309,8 +317,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _COMMANDS[args.command](args)
     except (DataFormatError, InvalidParameterError, ConfigurationError) as exc:

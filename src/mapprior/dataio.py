@@ -119,7 +119,7 @@ def emit_density_grid(fn: Callable[[np.ndarray], np.ndarray],
     lo = as_real(lo, "grid start")
     x = np.linspace(lo, as_real(hi, "grid end", lo), points)
     y = np.asarray(fn(x), dtype=float)
-    lines = [f"{xi:.12g}\t{yi:.12g}" for xi, yi in zip(x, y)]
+    lines = [f"{xi:.12g}\t{yi:.12g}" for xi, yi in zip(x.tolist(), y.tolist())]
     out = Path(path)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return out

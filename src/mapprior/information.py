@@ -147,14 +147,23 @@ def ess_elir(density: Callable[[np.ndarray], np.ndarray],
     return _expectation(weights, vals[0], info, uisd_value)
 
 
+def _ess_and_quantiles(map_prior: MapPrior, uisd_value: float,
+                       levels: Sequence[float] = ()) -> tuple[float, np.ndarray]:
+    """ESS of a scale-mixture prior and its quantiles at ``levels``, from one
+    quantile solve: panels at the ladder's quantiles, local information from
+    the analytic log-density curvature."""
+    uisd_value = as_real(uisd_value, "uisd", 0.0)
+    ladder = _probability_ladder()
+    quantiles = map_prior.quantiles(np.concatenate([ladder, np.asarray(levels, dtype=float)]))
+    nodes, weights = panel_nodes(_panel_edges(quantiles[:ladder.size]), order=_PANEL_ORDER)
+    p, curvature = map_prior._density_and_curvature(nodes)
+    return _expectation(weights, p, -curvature, uisd_value), quantiles[ladder.size:]
+
+
 def ess_for_map_prior(map_prior: MapPrior, uisd_value: float) -> float:
     """ESS of a scale-mixture prior: panels at its quantiles, local
     information from the analytic log-density curvature."""
-    uisd_value = as_real(uisd_value, "uisd", 0.0)
-    edges = _panel_edges(map_prior.quantiles(_probability_ladder()))
-    nodes, weights = panel_nodes(edges, order=_PANEL_ORDER)
-    p, curvature = map_prior._density_and_curvature(nodes)
-    return _expectation(weights, p, -curvature, uisd_value)
+    return _ess_and_quantiles(map_prior, uisd_value)[0]
 
 
 def ess_table(map_priors: Sequence[MapPrior], uisd_value: float) -> list[float]:

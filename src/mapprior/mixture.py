@@ -248,8 +248,14 @@ class MapPrior:
 
     def log_density_curvature(self, theta):
         """Second derivative of the log density at finite theta (the limit at
-        +-inf depends on the family), by differentiation under the integral."""
-        return self._density_and_curvature(as_reals(theta, "theta"))[1][()]
+        +-inf depends on the family), by differentiation under the integral;
+        :class:`QuadratureError` where the density underflows to 0."""
+        theta = as_reals(theta, "theta")
+        p, curvature = self._density_and_curvature(theta)
+        if not np.all(p > 0.0):
+            raise QuadratureError("the MAP density underflows at theta = "
+                                  f"{theta.ravel()[np.argmin(p.ravel() > 0.0)]:.12g}")
+        return curvature[()]
 
     # -- quantiles --------------------------------------------------------
 

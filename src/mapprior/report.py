@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvalidParameterError, as_real, as_reals
-from .information import ess_for_map_prior, uisd
+from .information import _ess_and_quantiles, uisd
 from .mixture import MapPrior
 from .priors import HeterogeneityPrior
 from .shrink import interval_width_ratio, posterior_mixture, posterior_summaries
@@ -99,7 +99,9 @@ def run_map_report(source: StudyEstimate,
         raise InvalidParameterError("need one or more interval levels")
     map_prior = MapPrior.from_study(source, tau_prior)
     uisd_value = _resolve_uisd(source, uisd_override)
-    ess = ess_for_map_prior(map_prior, uisd_value)
+    lv = np.asarray(levels)
+    ess, bounds = _ess_and_quantiles(map_prior, uisd_value,
+                                     np.concatenate([(1 - lv) / 2, (1 + lv) / 2]))
 
     sd = map_prior.sd()
     map_block = {
@@ -108,8 +110,7 @@ def run_map_report(source: StudyEstimate,
     }
     if not math.isfinite(sd):
         map_block["sd_reason"] = "infinite: the heterogeneity prior has no finite second moment"
-    lv = np.asarray(levels)
-    lower, upper = map_prior.quantiles(np.concatenate([(1 - lv) / 2, (1 + lv) / 2])).reshape(2, -1)
+    lower, upper = bounds.reshape(2, -1)
     map_block["intervals"] = [{"level": level, "lower": _log_ratio(float(lo)),
                                "upper": _log_ratio(float(hi))}
                               for level, lo, hi in zip(levels, lower, upper)]
@@ -179,10 +180,7 @@ def prior_comparison_table(source_se: float,
     for prior in tau_priors:
         mp = MapPrior(location=0.0, base_variance=source_se ** 2, tau_prior=prior)
         sd = mp.sd()
-        # the ESS ladder reaches 1 - 5e-7, so the table's levels then fall
-        # inside the tau rule it builds
-        ess = ess_for_map_prior(mp, uisd_value)
-        quants = mp.quantiles(np.asarray(quantile_levels, dtype=float))
+        ess, quants = _ess_and_quantiles(mp, uisd_value, quantile_levels)
         rows.append({
             "family": prior.family,
             "scale": round12(prior.scale),

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import DATA_DIR, posterior_density
 from mapprior import QuadratureError, load_studies_csv, make_prior
-from mapprior.cli import main
+from mapprior import cli
+from mapprior.cli import build_parser, main
 
 ALPORT = str(DATA_DIR / "alport.csv")
 TOPCAT = str(DATA_DIR / "topcat.csv")
@@ -284,3 +285,48 @@ class TestExitCodes:
                                "--prior", "half-normal(0.25)")
         assert code == 2
         assert "numeric failure" in err
+
+
+class TestParserReuse:
+    CONVERT = ("convert", "--estimate", "0.53", "--lower", "0.22", "--upper", "1.29")
+
+    def test_main_builds_its_parser_once(self, capsys, monkeypatch):
+        assert run_cli(capsys, *self.CONVERT)[0] == 0
+        built = []
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        for _ in range(5):
+            assert run_cli(capsys, *self.CONVERT)[0] == 0
+        assert built == []
+        assert build_parser() is not build_parser()
+        # each build makes the top-level parser and one per subcommand
+        assert len(built) == 12
+
+    def test_table_rows_are_not_carried_over(self, capsys):
+        for spec, family in (("half-normal(0.5)", "half-normal"), ("exp(0.49)", "exponential")):
+            code, out, _ = run_cli(capsys, "table2", "--se", "0.451", "--uisd", "3.77",
+                                   "--prior", spec)
+            assert code == 0
+            lines = out.splitlines()
+            assert len(lines) == 2 and lines[1].split("\t")[0] == family
+
+    def test_levels_are_not_carried_over(self, capsys):
+        base = ("map", "--data", TOPCAT, "--prior", "half-normal(0.25)")
+        for extra, levels in ((("--level", "0.8"), [0.8]), ((), [0.95])):
+            code, out, _ = run_cli(capsys, *base, *extra)
+            assert code == 0
+            assert json.loads(out)["inputs"]["interval_levels"] == levels
+
+    def test_usage_error_leaves_the_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["map"])
+        assert exc.value.code == 1
+        assert "required: --prior" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, *self.CONVERT)
+        assert code == 0 and err == ""
+        assert json.loads(out)["level"] == 0.95

@@ -160,6 +160,15 @@ class TestEmitDensityGrid:
                 parabola = math.log(normal_pdf(theta, mp.location, sd))
                 assert mixture > parabola
 
+    def test_rows_read_as_numpy_scalars_did(self, tmp_path):
+        values = np.array([0.0, -0.0, 5e-324, 1e-300, 1.23456789012345e10,
+                           -5e-324, -1e-300, -1.23456789012345e10, -2.5])
+        path = emit_density_grid(lambda x: values, -4.0, 4.0, values.size,
+                                 tmp_path / "grid.tsv")
+        x = np.linspace(-4.0, 4.0, values.size)
+        rows = "".join(f"{xi:.12g}\t{yi:.12g}\n" for xi, yi in zip(x, values))
+        assert path.read_bytes() == rows.encode("utf-8")
+
     def test_rejects_single_point(self, tmp_path):
         with pytest.raises(InvalidParameterError):
             emit_density_grid(lambda x: x, 0.0, 1.0, 1, tmp_path / "g.tsv")

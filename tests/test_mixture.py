@@ -246,7 +246,12 @@ class TestQuantiles:
     def test_offset_out_of_reach_is_a_typed_error(self, hn05, evaluate):
         # squares of offsets beyond 1e150 would overflow in the kernels
         mp = MapPrior(0.0, 0.2, hn05)
-        assert getattr(mp, evaluate)(np.array([0.0, 0.9e150])).shape == (2,)
+        if evaluate == "log_density_curvature":
+            # in reach, but the density underflows there: 0/0 is refused
+            with pytest.raises(QuadratureError, match=r"underflows at theta = 9e\+149"):
+                mp.log_density_curvature(np.array([0.0, 0.9e150]))
+        else:
+            assert getattr(mp, evaluate)(np.array([0.0, 0.9e150])).shape == (2,)
         with pytest.raises(QuadratureError, match="out of reach"):
             getattr(mp, evaluate)(1e200)
 
@@ -338,6 +343,21 @@ class TestLogDensityCurvature:
             mp.log_density_curvature(theta)
         assert mp.density(np.inf) == 0.0
         assert (mp.cdf(-np.inf), mp.cdf(np.inf)) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("theta", [1000.0, [50.0, 1000.0]])
+    def test_underflowing_density_is_refused(self, hn05, theta):
+        # 0/0 where the density underflows; the refusal names the first such theta
+        mp = MapPrior(0.0, 0.2, hn05)
+        assert mp.density(1000.0) == 0.0
+        with pytest.raises(QuadratureError, match="underflows at theta = 1000"):
+            mp.log_density_curvature(theta)
+
+    def test_refusal_leaves_finite_values_unchanged(self, hn05):
+        mp = MapPrior(0.0, 0.2, hn05)
+        value = mp.log_density_curvature(50.0)
+        # the ESS path reads the same value, without the refusal
+        assert value == mp._density_and_curvature(np.array(50.0))[1]
+        assert math.isfinite(value) and value < 0.0
 
 
 def _floored_error(got, ref, floor=0.0):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from mapprior import (ConfigurationError, InvalidParameterError, MapPrior, StudyEstimate,
-                      make_prior, prior_comparison_table, run_map_report)
+                      ess_for_map_prior, make_prior, prior_comparison_table, run_map_report)
 from mapprior import report as report_module
+from mapprior.information import _probability_ladder
 from mapprior.report import render_json, render_report_tsv, render_table_tsv
 
 
@@ -151,6 +152,27 @@ def test_overflowing_ratio_is_null_and_blank_in_tsv():
     assert upper["ratio"] is None
     assert "map_prior.intervals[0].upper.ratio\t\n" in render_report_tsv(report)
     assert json.loads(render_json(report)) == report
+
+
+def test_one_quantile_solve_per_row_and_per_report(alport_source, alport_target, hn05,
+                                                    monkeypatch):
+    sizes = []
+    quantiles = MapPrior.quantiles
+
+    def counting(self, p):
+        sizes.append(np.size(p))
+        return quantiles(self, p)
+
+    monkeypatch.setattr(MapPrior, "quantiles", counting)
+    priors = [hn05, make_prior("lomax", 0.337, 1.0)]
+    rows = prior_comparison_table(0.451, priors, 3.77)
+    run_map_report(alport_source, hn05, target=alport_target)
+    # the ESS ladder and the table's levels or the interval bounds, together
+    ladder = len(_probability_ladder())
+    assert sizes == [ladder + 3, ladder + 3, ladder + 2]
+    for prior, row in zip(priors, rows):
+        ess = ess_for_map_prior(MapPrior(0.0, 0.451 ** 2, prior), 3.77)
+        assert row["ess_elir"] == report_module.round12(ess)
 
 
 class TestComparisonTable:
