@@ -15,7 +15,7 @@ source estimate is offset from alpha by a normal bias with standard
 deviation beta = sqrt(2) tau.  Every heterogeneity family is a scale family,
 so beta's prior is the tau prior's family at sqrt(2) times its scale.
 ``reference_model_posterior`` integrates alpha's posterior directly on that
-formulation with the adaptive engine, on the grid (not the density) of
+formulation with scipy's adaptive ``quad_vec``, on the grid (not the density) of
 :func:`~mapprior.shrink.shrinkage_posterior`; its agreement with the exact
 shrinkage mixture is what makes it an independent oracle.
 """
@@ -30,7 +30,7 @@ import numpy as np
 from .errors import as_real, as_reals
 from .priors import HeterogeneityPrior
 from .mixture import normal_pdf
-from .shrink import ShrinkagePosterior, _mix_by_block, _normalized, _posterior_grid
+from .shrink import ShrinkagePosterior, _mix_on_grid, _normalized, _posterior_grid
 from .study import StudyEstimate
 
 __all__ = [
@@ -109,11 +109,10 @@ def reference_model_posterior(source: StudyEstimate, target: StudyEstimate,
     source_map, _, grid = _posterior_grid(source, target, tau_prior)
     y1, v1 = source.y, source.variance
 
-    def source_factor(beta: np.ndarray):
+    def source_factor(beta: float):
         return y1, 1.0 / (v1 + np.square(beta)), 1.0
 
-    marginal = _mix_by_block(
-        grid, source_factor, beta_prior_from_tau_prior(tau_prior),
-        0.5 * source.se, lambda col: float(np.max(np.abs(col - y1))) + source.se)
+    marginal = _mix_on_grid(grid, source_factor, beta_prior_from_tau_prior(tau_prior),
+                            0.5 * source.se, float(np.max(np.abs(grid - y1))) + source.se)
     values = marginal * normal_pdf(grid - target.y, 1.0 / target.variance)
     return _normalized(grid, values, source_map, target)

@@ -50,9 +50,11 @@ def uisd(n: int, se: float) -> float:
 
 
 def _probability_ladder() -> np.ndarray:
-    tails = np.array([_TAIL_PROB, 1e-5, 1e-4, 1e-3, 5e-3, 0.01, 0.025])
-    core = np.linspace(0.05, 0.95, 19)
-    return np.concatenate([tails, core, 1.0 - tails[::-1]])
+    """33 levels, symmetric about 0.5: each upper level is 1 - its mirror
+    exactly, so the two share one quantile target."""
+    lower = np.concatenate([[_TAIL_PROB, 1e-5, 1e-4, 1e-3, 5e-3, 0.01, 0.025],
+                            np.linspace(0.05, 0.95, 19)[:9]])
+    return np.concatenate([lower, [0.5], 1.0 - lower[::-1]])
 
 
 #: positions of the 0.025 and 0.975 quantiles on the ladder, which set the

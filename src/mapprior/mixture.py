@@ -80,12 +80,15 @@ class NormalMixture:
         def block(i):
             z = x[i:i + _BLOCK, None] - self.offsets
             e = -0.5 * np.square(z) * self.precisions
-            out = np.exp(e, out=e) @ columns        # in place: one matrix per block
+            np.exp(e, out=e)                        # in place: one matrix per block
             if lower is None:
-                return out
+                return e @ columns
+            # vecdot sums each row alone, where BLAS gemv blocks rows: a point's
+            # tail and density do not depend on the other points
+            out = np.vecdot(e, columns)
             z *= np.where(lower[i:i + _BLOCK, None], 1.0, -1.0)
             e = special.ndtr(np.multiply(z, np.sqrt(self.precisions), out=e), out=e)
-            return np.column_stack([e @ self.weights, out])
+            return np.column_stack([np.vecdot(e, self.weights), out])
 
         return np.concatenate([block(i) for i in range(0, max(x.size, 1), _BLOCK)])
 
@@ -275,11 +278,13 @@ class MapPrior:
         flat = p.ravel()
         if flat.size == 0:
             return np.empty(p.shape)
-        # a level and its mirror rarely give equal targets (1 - 0.95 is not
-        # 0.05 in floats); targets within the spacing of floats near 1 share
-        # one solve
-        ranked, level = np.unique(np.minimum(flat, 1.0 - flat), return_inverse=True)
-        first = np.diff(ranked, prepend=-1.0) > np.finfo(float).eps
+        # 1 - 0.95 is not 0.05 in floats: a level below 1/2 within 1e-9
+        # relative of 1 - fl(1 - p), its mirror's target, takes that target,
+        # so a target depends on its level alone and mirrors share one solve
+        mirror = 1.0 - (1.0 - flat)
+        t = np.where(flat > 0.5, 1.0 - flat,
+                     np.where(np.abs(mirror - flat) < 1e-9 * flat, mirror, flat))
+        ranked, level = np.unique(t, return_inverse=True)
         half = 0.5 * max(ranked[0], _TAIL_FLOOR)
         reach = -special.ndtri(half) * math.hypot(self.base_se,
                                                   math.sqrt(2.0) * self.tau_prior.isf(half))
@@ -287,7 +292,7 @@ class MapPrior:
             raise QuadratureError(f"quantile level {ranked[0]:.3g} is out of reach: the tau rule "
                                   f"resolves tails to {_TAIL_FLOOR:g} at offsets to {MAX_REACH:g}")
         upper = self._on_rule(self.location + reach)._solve_tails(
-            ranked[first], np.zeros(int(first.sum()), dtype=bool))[np.cumsum(first)[level] - 1]
+            ranked, np.zeros(ranked.size, dtype=bool))[level]
         q = np.where(flat > 0.5, upper, self.location - (upper - self.location))
         return q.reshape(p.shape) if p.ndim else q[0]
 

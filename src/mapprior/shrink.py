@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special
 
 from .errors import GridCoverageError, QuadratureError, as_reals
-from .mixture import _BLOCK, MapPrior, NormalMixture, normal_pdf
+from .mixture import MapPrior, NormalMixture, normal_pdf
 from .priors import HeterogeneityPrior
 from .quadrature import mix_against_prior, mixing_rule
 from .study import StudyEstimate
@@ -99,11 +99,17 @@ def _normalized(grid: np.ndarray, unnorm: np.ndarray, source_map: MapPrior,
                               source_map=source_map, target=target)
 
 
+@functools.lru_cache(maxsize=1)
 def _posterior_grid(source, target, tau_prior) -> tuple[MapPrior, NormalMixture, np.ndarray]:
-    """The predictive prior, the posterior mixture and the grid of :func:`shrinkage_posterior`."""
+    """The predictive prior, the posterior mixture and the grid of
+    :func:`shrinkage_posterior`, read-only and kept for the last inputs, so
+    that the routes of one problem build one posterior."""
     source_map = MapPrior.from_study(source, tau_prior)
     mixture = posterior_mixture(source_map, target)
-    return source_map, mixture, np.linspace(*mixture.quantiles([1e-12, 1.0 - 1e-12]), GRID_POINTS)
+    grid = np.linspace(*mixture.quantiles([1e-12, 1.0 - 1e-12]), GRID_POINTS)
+    for array in (grid, mixture.weights, mixture.offsets, mixture.precisions):
+        array.setflags(write=False)
+    return source_map, mixture, grid
 
 
 def shrinkage_posterior(source: StudyEstimate, target: StudyEstimate,
@@ -117,40 +123,38 @@ def shrinkage_posterior(source: StudyEstimate, target: StudyEstimate,
     return post
 
 
-def _mix_by_block(grid: np.ndarray, kernel, prior, inner_scale: float,
-                  outer_scale) -> np.ndarray:
-    """:func:`mix_against_prior` at every grid point, 512 points a pass, of
-    weight * normal_pdf(theta - mean, precision) with ``(mean, precision, weight)
-    = kernel(tau)``, in one buffer; ``outer_scale(col)`` is its widest feature."""
+def _mix_on_grid(grid: np.ndarray, kernel, prior, inner_scale: float,
+                 outer_scale: float) -> np.ndarray:
+    """:func:`mix_against_prior` at every grid point at once, of
+    weight * normal_pdf(theta - mean, precision) with ``(mean, precision,
+    weight) = kernel(tau)``; ``outer_scale`` is its widest feature."""
 
-    def integrand(col: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    def integrand(tau: float) -> np.ndarray:
         mean, precision, weight = kernel(tau)
-        z = np.subtract(col, mean, out=np.empty((col.size, tau.size)))
+        z = np.subtract(grid, mean)
         z *= z
         z *= -0.5 * precision
-        return np.multiply(np.exp(z, out=z), weight * np.sqrt(precision / (2.0 * math.pi)), out=z)
+        np.exp(z, out=z)
+        z *= weight * math.sqrt(precision / (2.0 * math.pi))
+        return z
 
-    out = np.empty(grid.size)
-    for start in range(0, grid.size, _BLOCK):
-        col = grid[start:start + _BLOCK][:, None]
-        out[start:start + col.size] = mix_against_prior(
-            functools.partial(integrand, col), prior, inner_scale=inner_scale,
-            outer_scale=outer_scale(col))
-    return out
+    return mix_against_prior(integrand, prior, inner_scale=inner_scale,
+                             outer_scale=outer_scale)
 
 
 def mac_oracle(source: StudyEstimate, target: StudyEstimate,
                tau_prior: HeterogeneityPrior) -> ShrinkagePosterior:
     """Joint-model route to the same posterior, used as an oracle: given tau
     and a uniform prior on the overall mean, the target effect is normal,
-    and tau has weight p(tau) Normal(y2; y1, s1^2 + s2^2 + 2 tau^2).  The
-    adaptive engine integrates over tau on the grid of
-    :func:`shrinkage_posterior`, and the trapezoidal rule normalizes."""
+    and tau has weight p(tau) Normal(y2; y1, s1^2 + s2^2 + 2 tau^2).
+    scipy's adaptive ``quad_vec`` integrates over tau at every point of the
+    grid of :func:`shrinkage_posterior` at once, and the trapezoidal rule
+    normalizes."""
     source_map, _, grid = _posterior_grid(source, target, tau_prior)
     v1, v2 = source.variance, target.variance
     y1, y2 = source.y, target.y
 
-    def conditional_mixture(tau: np.ndarray):
+    def conditional_mixture(tau: float):
         rho = np.square(tau)
         mean_mu = (y1 * (v2 + rho) + y2 * (v1 + rho)) / (v1 + v2 + 2.0 * rho)
         var_mu = (v1 + rho) * (v2 + rho) / (v1 + v2 + 2.0 * rho)
@@ -160,11 +164,10 @@ def mac_oracle(source: StudyEstimate, target: StudyEstimate,
         weight = normal_pdf(y2 - y1, 1.0 / (v1 + v2 + 2.0 * rho))
         return mean_t, precision, weight
 
-    def outer_scale(col: np.ndarray) -> float:
-        return max(float(np.max(np.abs(col - y1))), abs(y1 - y2)) + source.se + target.se
-
-    values = _mix_by_block(grid, conditional_mixture, tau_prior,
-                           0.5 * min(source.se, target.se), outer_scale)
+    outer_scale = (max(float(np.max(np.abs(grid - y1))), abs(y1 - y2))
+                   + source.se + target.se)
+    values = _mix_on_grid(grid, conditional_mixture, tau_prior,
+                          0.5 * min(source.se, target.se), outer_scale)
     return _normalized(grid, values, source_map, target)
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 from scipy.special import ndtr
 
 from mapprior import StudyEstimate, make_prior, parse_ratio_ci, scale_for_median
@@ -161,6 +161,43 @@ def mixture_cdf(prior, y1: float, s1: float, x: float) -> float:
                       epsabs=1e-15, epsrel=1e-12, limit=400)
         total += val
     return total if x <= y1 else 1.0 - total
+
+
+def mixture_density_and_tail(prior, s1: float, d):
+    """Density and lower tail P(theta < y1 - |d|) of the predictive mixture
+    Normal(y1, s1^2 + 2 tau^2) at offsets ``d`` from y1, each to about
+    1e-12 relative, down to values near 1e-300.
+
+    scipy's ``quad_vec`` in log tau, from the prior's lowest positive
+    quantile among 1e-16 and 1e-12 to the support's end or its upper 1e-30
+    quantile, with breakpoints at the prior's quantiles, at s1 / 8 and s1,
+    where the kernel stops being flat, and at the largest |d| / sqrt(2).
+    Its max norm holds every value to 1e-12 of the largest, so it runs
+    twice: the second run integrates the kernel divided by the first run's
+    result, which holds each value relatively.
+    """
+    d = np.abs(np.asarray(d, dtype=float))
+
+    def kernel(s):
+        tau = math.exp(s)
+        v = s1 * s1 + 2.0 * tau * tau
+        values = np.concatenate([np.exp(-0.5 * d * d / v) / math.sqrt(2.0 * math.pi * v),
+                                 ndtr(-d / math.sqrt(v))])
+        return values * (float(prior.density(tau)) * tau)
+
+    edges = [float(prior.quantile(p)) for p in (1e-16, 1e-12, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999)]
+    if math.isfinite(prior.support_upper):
+        edges.append(float(prior.support_upper))
+    else:
+        edges += [float(prior.isf(10.0 ** -k)) for k in (6, 12, 18, 24, 30)]
+    edges = np.log(sorted(e for e in set(edges) if e > 0.0))
+    turns = [s1 / 8.0, s1, max(d.max(), s1) / math.sqrt(2.0)]
+    points = np.concatenate([edges[1:-1], np.log(turns)])
+    first = quad_vec(kernel, edges[0], edges[-1], epsrel=1e-12, norm="max", points=points)[0]
+    scale = np.maximum(np.abs(first), 1e-300)
+    values = scale * quad_vec(lambda s: kernel(s) / scale, edges[0], edges[-1], epsrel=1e-12,
+                              norm="max", points=points)[0]
+    return values[:d.size], values[d.size:]
 
 
 def mixture_upper_tail(prior, s1: float, d: float, level: float) -> float:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from conftest import (common_median, mixture_cdf, mixture_upper_tail, normal_pdf,
-                      table2_priors)
+from conftest import (common_median, mixture_cdf, mixture_density_and_tail, mixture_upper_tail,
+                      normal_pdf, table2_priors)
 from mapprior import (
     InvalidParameterError,
     MapPrior,
@@ -22,7 +22,6 @@ from mapprior import (
 )
 from mapprior import MapPriorError, QuadratureError, mixture
 from mapprior.information import _probability_ladder
-from mapprior.quadrature import mix_against_prior
 
 #: every family, with a finite-variance shape where one is needed
 FAMILIES = [("half-normal", None), ("half-student-t", 5.0), ("half-cauchy", None),
@@ -176,6 +175,20 @@ class TestQuantiles:
         for prior in table2_priors():
             q = MapPrior(0.0, 0.451 ** 2, prior).quantiles(ladder)
             np.testing.assert_array_equal(q[:pairs], -q[::-1][:pairs])
+
+    def test_level_alone_matches_the_ladder_call(self):
+        # a level's result depends on that level alone: it once took the
+        # target of any other level in the call within float spacing of it
+        ladder = _probability_ladder()
+        table = np.array([0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999])
+        report = np.concatenate([(1.0 - table) / 2.0, (1.0 + table) / 2.0])
+        levels = np.concatenate([table, report])
+        for location in (0.0, -0.635):
+            for prior in table2_priors():
+                mp = MapPrior(location, 0.451 ** 2, prior)
+                together = mp.quantiles(np.concatenate([ladder, levels]))[ladder.size:]
+                alone = np.array([mp.quantiles([p])[0] for p in levels])
+                np.testing.assert_array_equal(alone, together)
 
     def test_pass_count_per_ladder(self, monkeypatch):
         passes, cdf_calls = [], []
@@ -368,7 +381,7 @@ def _floored_error(got, ref, floor=0.0):
 
 
 class TestMixingRule:
-    """The per-prior tau rule against per-call adaptive quadrature."""
+    """The per-prior tau rule against scipy's adaptive quadrature."""
 
     @pytest.mark.parametrize("family,shape", FAMILIES)
     @pytest.mark.parametrize("ratio", [0.1, 1.0, 10.0])
@@ -378,18 +391,7 @@ class TestMixingRule:
         prior = make_prior(family, scale_for_median(family, s1 / ratio, shape), shape)
         mp = MapPrior(location=0.3, base_variance=s1 ** 2, tau_prior=prior)
         d = np.linspace(-40.0, 40.0, 161)
-
-        def density_kernel(tau):
-            v = s1 ** 2 + 2.0 * np.square(tau)
-            return np.exp(-0.5 * np.square(d[:, None]) / v) / np.sqrt(2.0 * math.pi * v)
-
-        def tail_kernel(tau):
-            return ndtr(-np.abs(d[:, None]) / np.sqrt(s1 ** 2 + 2.0 * np.square(tau)))
-
-        ref_density = mix_against_prior(density_kernel, prior, inner_scale=0.5 * s1,
-                                        outer_scale=40.0 + s1)
-        ref_tail = mix_against_prior(tail_kernel, prior, abs_floor=1e-13,
-                                     inner_scale=0.5 * s1, outer_scale=40.0 + s1)
+        ref_density, ref_tail = mixture_density_and_tail(prior, s1, d)
         ref_cdf = np.where(d <= 0.0, ref_tail, 1.0 - ref_tail)
         assert _floored_error(mp.density(mp.location + d), ref_density) <= 1e-8
         assert _floored_error(mp.cdf(mp.location + d), ref_cdf, floor=1e-13) <= 1e-8
