@@ -10,9 +10,12 @@ Mixing rules
 Gauss-Legendre weight times the prior density times the Jacobian, so that a
 mixing integral of any kernel becomes ``kernel(nodes) @ weights``.  A
 :class:`~mapprior.mixture.MapPrior` builds one lazily and reuses it for every
-density, CDF, curvature, quantile and ESS evaluation; a shrinkage posterior
-builds its own.  On either, :class:`~mapprior.mixture.NormalMixture` does
-the evaluating.
+density, CDF, curvature, quantile and ESS evaluation, and for its shrinkage
+posteriors: the posterior is the likelihood times the rule's MAP density,
+so the prior's check vouches for it wherever that density at the target is
+above ``RELATIVE_FLOOR`` of its peak.  Beyond, under a conflict, the
+posterior builds and checks its own.  On either,
+:class:`~mapprior.mixture.NormalMixture` does the evaluating.
 
 Layout.  A first panel covers [0, t0], with t0 half the smaller of the
 inner scale (the source SE, below which the normal kernel is flat in tau)

@@ -2,9 +2,18 @@
 
 Given tau, the predictive prior times the target's normal likelihood is a
 normal, so on a tau mixing rule the target's posterior is a finite normal
-mixture whose summaries need no grid.  :func:`shrinkage_posterior` tabulates
-its density; the independent routes read its grid but not that density, and
-evaluate their own on it, :func:`mac_oracle` with its own algebra.
+mixture whose summaries need no grid.  Component by component,
+
+    w N(y2; y1, s1^2 + s2^2 + 2 tau^2) N(theta; m, v)
+        = N(y2; theta, s2^2) w N(theta; y1, s1^2 + 2 tau^2),
+
+so on any rule the posterior is the likelihood times that rule's MAP
+density, normalized.  It is built on the MAP prior's own rule, whose check
+vouches for it unless the estimates conflict; a conflict keeps the
+posterior's own check (see :func:`posterior_mixture`).
+:func:`shrinkage_posterior` tabulates its density; the independent routes
+read its grid but not that density, and evaluate their own on it,
+:func:`mac_oracle` with its own algebra.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from scipy import special
 from .errors import GridCoverageError, QuadratureError, as_reals
 from .mixture import MapPrior, NormalMixture, normal_pdf
 from .priors import HeterogeneityPrior
-from .quadrature import mix_against_prior, mixing_rule
+from .quadrature import RELATIVE_FLOOR, mix_against_prior, mixing_rule
 from .study import StudyEstimate
 
 __all__ = ["PosteriorSummary", "ShrinkagePosterior", "mac_oracle", "posterior_mixture",
@@ -43,20 +52,29 @@ def posterior_mixture(source_map: MapPrior, target: StudyEstimate) -> NormalMixt
     Each tau node gives the conjugate normal of Normal(y1, s1^2 + 2 tau^2) and
     the likelihood Normal(y2; theta, s2^2), weighted by the node's weight times
     Normal(y2; y1, s1^2 + s2^2 + 2 tau^2); weights below 1e-16 of the total are
-    dropped.  The rule is checked on both sides of y2 out to 8 target SEs
-    beyond y1, past which no component reaches."""
+    dropped.  The nodes are those of ``source_map``'s rule, extended to the
+    offset r = |y1 - y2| + 8 s2 past which the likelihood is below e^-32 of
+    its peak: the posterior is the likelihood times that rule's MAP density,
+    which its check holds to ``RULE_TOL`` out to r wherever it is above
+    ``RELATIVE_FLOOR`` of its peak.  Where the density at r is below that (a
+    conflict), the posterior builds and checks its own rule, with inner
+    scale min(s1, s2), on both sides of y2 out to r."""
     y2, v2 = target.y, target.variance
     gap = source_map.location - y2
+    reach = abs(gap) + 8.0 * target.se
 
     def mixture(tau, w):
         inv = source_map._mixture(tau, w).precisions   # the prior's; 0 at tau = inf
         share = inv / (inv + 1.0 / v2)
         return NormalMixture(y2, normal_pdf(gap, share / v2) * w, gap * share, inv + 1.0 / v2)
 
-    # the lower tail at y2 - d and the upper at y2 + d, with the density at each
-    rule = mixing_rule(source_map.tau_prior, min(source_map.base_se, target.se),
-                       abs(gap) + 8.0 * target.se, lambda tau, w, d: mixture(tau, w)._reduce(
-                           np.concatenate([-d, d]), np.repeat([True, False], d.size)))
+    rule = source_map._mixing_rule(reach)
+    peak, edge = source_map._mixture(rule.nodes, rule.weights)._reduce(np.array([0.0, reach]))
+    if not edge >= RELATIVE_FLOOR * peak:
+        # the lower tail at y2 - d and the upper at y2 + d, with the density at each
+        rule = mixing_rule(source_map.tau_prior, min(source_map.base_se, target.se), reach,
+                           lambda tau, w, d: mixture(tau, w)._reduce(
+                               np.concatenate([-d, d]), np.repeat([True, False], d.size)))
     mix = mixture(rule.nodes, rule.weights)
     keep = mix.weights > 1e-16 * np.sum(mix.weights)
     if not keep.any():

@@ -229,16 +229,37 @@ def mixture_upper_tail(prior, s1: float, d: float, level: float) -> float:
     return total
 
 
+def _posterior_weight_span(prior, source, target) -> tuple[float, float, float]:
+    """(lo, mode, hi) in tau of the posterior's tau weight in log tau,
+    tau p(tau) Normal(y2; y1, s1^2 + s2^2 + 2 tau^2): its mode, and where its
+    log falls 80 below the mode's (e^-80 of the peak, past which the weight
+    decays at least like tau^(-1) or tau).  Read off a log-tau scan over
+    e^-200 to e^200 times the prior median, in steps of 0.02."""
+    s = math.log(prior.median) + np.arange(-200.0, 200.0, 0.02)
+    tau = np.exp(s)
+    v = source.variance + target.variance + 2.0 * tau * tau
+    with np.errstate(divide="ignore"):
+        log_weight = (np.log(prior.density(tau)) + s - 0.5 * np.log(v)
+                      - 0.5 * (target.y - source.y) ** 2 / v)
+    top = int(np.argmax(log_weight))
+    inside = np.flatnonzero(log_weight >= log_weight[top] - 80.0)
+    return (float(np.exp(s[max(inside[0] - 1, 0)])), float(tau[top]),
+            float(np.exp(s[min(inside[-1] + 1, s.size - 1)])))
+
+
 def _posterior_integral(prior, source, target, x, kernel) -> float:
     """Integral over tau of prior density x normalized marginal weight x
     ``kernel(z)``, z = (x - m) / v the standardized offset of ``x`` from the
     conjugate normal posterior N(m, v^2) at that tau.
 
     scipy's adaptive quadrature in log tau, over panels between the prior's
-    quantiles from 1e-15 to 1 - 1e-15, with extra edges where the weight and
-    the conditional posterior turn (tau at s1, s2, |y1 - y2| and the offsets
-    of ``x`` from both estimates, each over sqrt(2)).  The marginal weight
-    Normal(y2; y1, s1^2 + s2^2 + 2 tau^2) is scaled to at most 1.
+    quantiles from 1e-15 to 1 - 1e-15, widened to where the tau weight is
+    negligible (:func:`_posterior_weight_span`; under a conflict that weight
+    lies in the prior's far tail), with extra edges at the weight's mode and
+    where the weight and the conditional posterior turn (tau at s1, s2,
+    |y1 - y2| and the offsets of ``x`` from both estimates, each over
+    sqrt(2)).  The marginal weight Normal(y2; y1, s1^2 + s2^2 + 2 tau^2) is
+    scaled to at most 1.
     """
     v1, v2 = source.variance, target.variance
     gap = target.y - source.y
@@ -253,10 +274,12 @@ def _posterior_integral(prior, source, target, x, kernel) -> float:
 
     probs = [1e-15, 1e-6, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999, 1 - 1e-6, 1 - 1e-15]
     edges = [float(prior.quantile(p)) for p in probs]
+    lo, mode, hi = _posterior_weight_span(prior, source, target)
+    edges[0], edges[-1] = min(edges[0], lo), max(edges[-1], hi)
     if math.isfinite(prior.support_upper):
         edges[-1] = float(prior.support_upper)
-    turns = [f / math.sqrt(2.0) for f in (source.se, target.se, abs(gap),
-                                            abs(x - source.y), abs(x - target.y))]
+    turns = [mode] + [f / math.sqrt(2.0) for f in (source.se, target.se, abs(gap),
+                                                   abs(x - source.y), abs(x - target.y))]
     edges = sorted(set(edges + [t for t in turns if edges[0] < t < edges[-1]]))
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):

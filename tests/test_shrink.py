@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
-from conftest import normal_pdf, posterior_cdf, posterior_density, trapezoid_summary
+from conftest import (_posterior_weight_span, normal_pdf, posterior_cdf, posterior_density,
+                      trapezoid_summary)
 from mapprior import (
     InvalidParameterError,
     MapPrior,
@@ -20,7 +21,8 @@ from mapprior import (
     shrinkage_posterior,
     width_ratio,
 )
-from mapprior import mixture
+from mapprior import mixture, shrink
+from mapprior.report import run_map_report
 from mapprior.shrink import GRID_POINTS, posterior_mixture, posterior_summaries
 
 FAMILY_POOL = [
@@ -266,3 +268,109 @@ def test_pass_count_per_summary(prior, monkeypatch):
     monkeypatch.setattr(mixture.NormalMixture, "_reduce", counting_reduce)
     posterior_summaries(post, [0.8, 0.95, 0.99])
     assert 1 <= len(passes) <= 8
+
+
+def _count_rule_builds(monkeypatch) -> list[str]:
+    """Record every tau rule build, by the module that asked for it."""
+    builds = []
+    for module in (mixture, shrink):
+        build = module.mixing_rule
+
+        def counting(*args, _build=build, _name=module.__name__):
+            builds.append(_name)
+            return _build(*args)
+
+        monkeypatch.setattr(module, "mixing_rule", counting)
+    return builds
+
+
+#: the Alport example's three reference priors
+ALPORT_PRIORS = [HN05, make_prior("half-cauchy", 0.3), make_prior("lomax", 1.0, 0.337)]
+
+
+@pytest.mark.parametrize("prior", ALPORT_PRIORS, ids=lambda prior: prior.spec_string())
+def test_report_builds_one_rule(prior, monkeypatch):
+    builds = _count_rule_builds(monkeypatch)
+    source = StudyEstimate(ALPORT_SOURCE.y, ALPORT_SOURCE.se, n=70)
+    run_map_report(source, prior, ALPORT_TARGET, levels=(0.8, 0.95, 0.99))
+    assert builds == ["mapprior.mixture"]
+
+
+def _assert_agrees_with_quad_oracle(post, source, target, prior):
+    """The median and the 95% bounds to 1e-9 in probability, and the density
+    there to 1e-9 relative."""
+    summary = posterior_summaries(post, [0.95])[0]
+    for x, level in ((summary.median, 0.5), (summary.lower, 0.025), (summary.upper, 0.975)):
+        assert posterior_cdf(prior, source, target, x) == pytest.approx(level, abs=1e-9)
+        assert float(post.density(x)) == pytest.approx(
+            posterior_density(prior, source, target, x), rel=1e-9)
+
+
+#: (source, target) pairs whose posterior lies on the prior's own rule: the
+#: Alport pair (s2 > s1, the posterior's own layout had the same nodes) and
+#: one with s2 < s1 (its own layout had other nodes)
+PRIOR_RULE_CASES = {
+    "alport": (ALPORT_SOURCE, ALPORT_TARGET),
+    "s2-below-s1": (StudyEstimate(-0.4, 0.45), StudyEstimate(-0.6, 0.3)),
+}
+
+
+@pytest.mark.parametrize("prior", ALPORT_PRIORS, ids=lambda prior: prior.spec_string())
+@pytest.mark.parametrize("case", list(PRIOR_RULE_CASES))
+def test_posterior_on_the_prior_rule_matches_quad_oracle(case, prior, monkeypatch):
+    source, target = PRIOR_RULE_CASES[case]
+    builds = _count_rule_builds(monkeypatch)
+    post = posterior_mixture(MapPrior.from_study(source, prior), target)
+    assert builds == ["mapprior.mixture"]
+    _assert_agrees_with_quad_oracle(post, source, target, prior)
+
+
+#: conflicts whose target lies where the MAP density is below 1e-12 of its
+#: peak, so the posterior builds and checks its own rule: two it refuses,
+#: and one it solves (z = 6.7)
+CONFLICTS = {
+    "exponential-refused": (StudyEstimate(1.85, 0.1), StudyEstimate(-0.07, 0.005),
+                            make_prior("exponential", 0.0025)),
+    "half-normal-refused": (StudyEstimate(1.5, 0.1), StudyEstimate(-1.86, 0.036),
+                            make_prior("half-normal", 0.005)),
+    "half-normal-solved": (StudyEstimate(0.0, 0.0805), StudyEstimate(0.966, 0.120),
+                           make_prior("half-normal", 0.00144)),
+}
+
+
+@pytest.mark.parametrize("case", [c for c in CONFLICTS if c.endswith("refused")])
+def test_conflict_keeps_its_own_check_and_refusal(case, monkeypatch):
+    source, target, prior = CONFLICTS[case]
+    builds = _count_rule_builds(monkeypatch)
+    with pytest.raises(QuadratureError, match="disagrees with its refined copy"):
+        posterior_mixture(MapPrior.from_study(source, prior), target)
+    assert builds == ["mapprior.mixture", "mapprior.shrink"]
+
+
+def test_solvable_conflict_matches_widened_oracle(monkeypatch):
+    source, target, prior = CONFLICTS["half-normal-solved"]
+    builds = _count_rule_builds(monkeypatch)
+    post = posterior_mixture(MapPrior.from_study(source, prior), target)
+    assert builds == ["mapprior.mixture", "mapprior.shrink"]
+    _assert_agrees_with_quad_oracle(post, source, target, prior)
+
+
+@pytest.mark.parametrize("case", [c for c in CONFLICTS if c.endswith("refused")])
+def test_widened_oracle_on_refused_conflicts(case):
+    """There the tau weight tau p(tau) N(y2; y1, s1^2 + s2^2 + 2 tau^2) peaks
+    beyond the prior's upper 1e-15 quantile, where the oracle's range used to
+    end; it now agrees with a dense trapezoidal rule in log tau."""
+    source, target, prior = CONFLICTS[case]
+    lo, mode, hi = _posterior_weight_span(prior, source, target)
+    assert lo < mode < hi and mode > float(prior.quantile(1.0 - 1e-15))
+    s = np.linspace(math.log(1e-8), math.log(50.0), 100_001)
+    tau = np.exp(s)
+    a, v2 = source.variance + 2.0 * tau * tau, target.variance
+    with np.errstate(divide="ignore"):
+        log_weight = (np.log(prior.density(tau)) + s - 0.5 * np.log(a + v2)
+                      - 0.5 * (target.y - source.y) ** 2 / (a + v2))
+    weight = np.exp(log_weight - log_weight.max())
+    mean, sd = (source.y * v2 + target.y * a) / (a + v2), np.sqrt(a * v2 / (a + v2))
+    for x in (target.y, mean[np.argmax(weight)]):
+        dense = np.trapezoid(weight * ndtr((x - mean) / sd), s) / np.trapezoid(weight, s)
+        assert posterior_cdf(prior, source, target, x) == pytest.approx(dense, abs=1e-12)
