@@ -15,7 +15,8 @@ source estimate is offset from alpha by a normal bias with standard
 deviation beta = sqrt(2) tau.  Every heterogeneity family is a scale family,
 so beta's prior is the tau prior's family at sqrt(2) times its scale.
 ``reference_model_posterior`` integrates alpha's posterior directly on that
-formulation with scipy's adaptive ``quad_vec``, on the grid (not the density) of
+formulation with the adaptive Gauss-Kronrod rule of
+:func:`~mapprior.quadrature.adaptive_quad`, on the grid (not the density) of
 :func:`~mapprior.shrink.shrinkage_posterior`; its agreement with the exact
 shrinkage mixture is what makes it an independent oracle.
 """
@@ -109,7 +110,7 @@ def reference_model_posterior(source: StudyEstimate, target: StudyEstimate,
     source_map, _, grid = _posterior_grid(source, target, tau_prior)
     y1, v1 = source.y, source.variance
 
-    def source_factor(beta: float):
+    def source_factor(beta: np.ndarray):
         return y1, 1.0 / (v1 + np.square(beta)), 1.0
 
     marginal = _mix_on_grid(grid, source_factor, beta_prior_from_tau_prior(tau_prior),

@@ -86,11 +86,16 @@ class NormalMixture:
             z = x[i:i + rows, None] - self.offsets
             e = -0.5 * np.square(z) * self.precisions
             np.exp(e, out=e)                        # in place: one matrix per block
-            if lower is None:
+            if moments:
+                # BLAS gemm: a row's last bit may depend on the other rows, but
+                # three vecdots take 13-14 us per block against 6.5-9.4 us for
+                # it (2-vCPU Xeon)
                 return e @ columns
             # vecdot sums each row alone, where BLAS gemv blocks rows: a point's
             # tail and density do not depend on the other points
             out = np.vecdot(e, columns)
+            if lower is None:
+                return out
             z *= np.where(lower[i:i + rows, None], 1.0, -1.0)
             e = special.ndtr(np.multiply(z, np.sqrt(self.precisions), out=e), out=e)
             return np.column_stack([np.vecdot(e, self.weights), out])

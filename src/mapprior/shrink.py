@@ -145,16 +145,17 @@ def _mix_on_grid(grid: np.ndarray, kernel, prior, inner_scale: float,
                  outer_scale: float) -> np.ndarray:
     """:func:`mix_against_prior` at every grid point at once, of
     weight * normal_pdf(theta - mean, precision) with ``(mean, precision,
-    weight) = kernel(tau)``; ``outer_scale`` is its widest feature."""
+    weight) = kernel(tau)`` on an array of tau, each broadcast to its
+    shape; ``outer_scale`` is the integrand's widest feature."""
 
-    def integrand(tau: float) -> np.ndarray:
-        mean, precision, weight = kernel(tau)
-        z = np.subtract(grid, mean)
+    def integrand(tau: np.ndarray) -> np.ndarray:
+        mean, precision, weight = np.broadcast_arrays(*kernel(tau), tau)[:3]
+        z = np.subtract.outer(mean, grid)       # (tau, grid): contiguous per tau
         z *= z
-        z *= -0.5 * precision
+        z *= -0.5 * precision[:, None]
         np.exp(z, out=z)
-        z *= weight * math.sqrt(precision / (2.0 * math.pi))
-        return z
+        z *= (weight * np.sqrt(precision / (2.0 * math.pi)))[:, None]
+        return z.T
 
     return mix_against_prior(integrand, prior, inner_scale=inner_scale,
                              outer_scale=outer_scale)
@@ -165,14 +166,14 @@ def mac_oracle(source: StudyEstimate, target: StudyEstimate,
     """Joint-model route to the same posterior, used as an oracle: given tau
     and a uniform prior on the overall mean, the target effect is normal,
     and tau has weight p(tau) Normal(y2; y1, s1^2 + s2^2 + 2 tau^2).
-    scipy's adaptive ``quad_vec`` integrates over tau at every point of the
-    grid of :func:`shrinkage_posterior` at once, and the trapezoidal rule
-    normalizes."""
+    :func:`~mapprior.quadrature.adaptive_quad` integrates over tau at every
+    point of the grid of :func:`shrinkage_posterior` at once, on its own
+    Gauss-Kronrod nodes, and the trapezoidal rule normalizes."""
     source_map, _, grid = _posterior_grid(source, target, tau_prior)
     v1, v2 = source.variance, target.variance
     y1, y2 = source.y, target.y
 
-    def conditional_mixture(tau: float):
+    def conditional_mixture(tau: np.ndarray):
         rho = np.square(tau)
         mean_mu = (y1 * (v2 + rho) + y2 * (v1 + rho)) / (v1 + v2 + 2.0 * rho)
         var_mu = (v1 + rho) * (v2 + rho) / (v1 + v2 + 2.0 * rho)

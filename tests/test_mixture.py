@@ -22,6 +22,7 @@ from mapprior import (
 )
 from mapprior import MapPriorError, QuadratureError, mixture
 from mapprior.information import _probability_ladder
+from mapprior.shrink import posterior_mixture
 
 #: every family, with a finite-variance shape where one is needed
 FAMILIES = [("half-normal", None), ("half-student-t", 5.0), ("half-cauchy", None),
@@ -106,6 +107,18 @@ class TestDensity:
     def test_more_peaked_than_moment_matched_normal(self, alport_map):
         matched_peak = 1.0 / math.sqrt(2.0 * math.pi * alport_map.variance())
         assert alport_map.density(alport_map.location) > matched_peak
+
+    @pytest.mark.parametrize("family,shape", [("half-normal", None), ("half-cauchy", None),
+                                              ("lomax", 1.0)])
+    def test_point_alone_matches_its_batch(self, family, shape):
+        # each point's components are summed alone (vecdot, not BLAS gemv), so
+        # its density does not depend on the other points in the call, to the bit
+        source_map = MapPrior.from_study(ALPORT, make_prior(family, 0.4, shape))
+        posterior = posterior_mixture(source_map, StudyEstimate(y=-0.67, se=0.742))
+        theta = np.linspace(-4.0, 3.0, 40)
+        for dist in (source_map, posterior):
+            batch = dist.density(theta)     # first: the prior's rule serves every point
+            np.testing.assert_array_equal([dist.density(t) for t in theta], batch)
 
     def test_heavy_mixing_dominates_in_tail(self, hn05):
         hc = make_prior("half-cauchy", scale_for_median("half-cauchy", hn05.median))

@@ -1,13 +1,22 @@
 """Quadrature engine: exactness, refinement, failure reporting."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad_vec
 
-from mapprior import QuadratureError, make_prior
+import mapprior
+from mapprior import QuadratureError, mac_oracle, make_prior, quadrature, reference_model_posterior
 from mapprior.quadrature import (
     _RULE_WIDTH,
+    MAX_INTERVALS,
     MAX_REACH,
     _rule_layout,
     adaptive_quad,
@@ -57,6 +66,67 @@ class TestAdaptive:
         assert float(val) == pytest.approx(width * math.sqrt(2 * math.pi), rel=1e-8)
 
 
+    def test_integrand_is_called_once_per_bisection(self):
+        # once on the nodes of the three starting intervals, then once on the
+        # 42 nodes of both halves of each interval it bisects, never per node
+        sizes = []
+
+        def peaked(x):
+            sizes.append(x.size)
+            return np.stack([np.exp(-x), 1.0 / (1.0 + 1e4 * np.square(x - 2.0))])
+
+        adaptive_quad(peaked, 0.0, 10.0, points=[1.0, 3.0])
+        assert sizes[0] == 3 * 21
+        assert len(sizes) > 1 and set(sizes[1:]) == {42}
+        assert 3 + len(sizes) - 1 <= MAX_INTERVALS
+
+
+#: the tau priors the oracle integrals are compared with quad_vec under
+ORACLE_PRIORS = [("half-normal", 0.5, None), ("half-cauchy", 0.3, None),
+                 ("lomax", 0.337, 1.0), ("uniform", 0.7, None)]
+
+
+class TestOracleIntegrals:
+    @pytest.mark.parametrize("route", [mac_oracle, reference_model_posterior])
+    @pytest.mark.parametrize("family,scale,shape", ORACLE_PRIORS)
+    def test_match_quad_vec(self, monkeypatch, alport_source, alport_target, route,
+                            family, scale, shape):
+        # scipy's quad_vec runs the same G10/K21 rule, one abscissa per call
+        pairs = []
+
+        def both(f, a, b, rel_tol=1e-9, points=()):
+            ours = adaptive_quad(f, a, b, rel_tol, points)
+            theirs = quad_vec(lambda x: f(np.array([x]))[..., 0], a, b, epsrel=rel_tol,
+                              norm="max", limit=MAX_INTERVALS, points=points)[0]
+            pairs.append((ours, theirs))
+            return ours
+
+        monkeypatch.setattr(quadrature, "adaptive_quad", both)
+        route(alport_source, alport_target, make_prior(family, scale, shape))
+        [(ours, theirs)] = pairs
+        assert ours.shape == theirs.shape == (4001,)
+        assert np.max(np.abs(ours - theirs)) <= 1e-10 * np.max(np.abs(theirs))
+
+    def test_routes_leave_scipy_integrate_unloaded(self):
+        code = textwrap.dedent("""
+            import sys
+            import mapprior
+            source = mapprior.StudyEstimate(*mapprior.parse_ratio_ci(0.53, 0.22, 1.29))
+            target = mapprior.StudyEstimate(*mapprior.parse_ratio_ci(0.51, 0.12, 2.20))
+            prior = mapprior.make_prior("half-normal", 0.5)
+            mapprior.mac_oracle(source, target, prior)
+            mapprior.reference_model_posterior(source, target, prior)
+            print(sorted(m for m in sys.modules if m.startswith("scipy.integrate")))
+            """)
+        package_root = str(Path(mapprior.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [package_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=False)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+
 class TestMixAgainstPrior:
     @pytest.mark.parametrize("family,scale,shape", [
         ("half-normal", 0.5, None),
@@ -73,6 +143,15 @@ class TestMixAgainstPrior:
         prior = make_prior("exponential", 0.49)
         val = mix_against_prior(lambda tau: tau, prior)
         assert float(val) == pytest.approx(0.49, rel=1e-9)
+
+    @pytest.mark.parametrize("shape", [0.05, 0.3])
+    def test_tail_nodes_near_one_raise_no_warning(self, shape):
+        # the u-mapped integrand of so heavy a tail is refined up to u = 1,
+        # where a node rounds to 1: a typed refusal, not a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError):
+                mix_against_prior(lambda tau: np.ones_like(tau), make_prior("lomax", 1.0, shape))
 
     @pytest.mark.parametrize("family,scale", [("half-normal", 0.5), ("uniform", 0.7)])
     def test_integrand_returning_its_argument(self, family, scale):
