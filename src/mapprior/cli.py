@@ -81,7 +81,8 @@ def _add_output_options(p: argparse.ArgumentParser, default_format: str = "json"
 
 def _add_study_options(p: argparse.ArgumentParser):
     p.add_argument("--data", metavar="CSV", help="study CSV file")
-    p.add_argument("--study", metavar="LABEL", help="row label to use from --data")
+    p.add_argument("--source", "--study", dest="source", metavar="LABEL",
+                   help="source study label in --data (default: first row)")
     p.add_argument("--y", type=float, help="effect estimate on the log scale")
     p.add_argument("--se", type=float, help="standard error on the log scale")
     p.add_argument("--estimate", type=float, help="ratio-scale point estimate")
@@ -147,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_study_options(p_grid)
     p_grid.add_argument("--dist", required=True, choices=_GRID_DISTS)
     p_grid.add_argument("--prior", metavar="SPEC")
-    p_grid.add_argument("--source", metavar="LABEL")
-    p_grid.add_argument("--target", metavar="LABEL")
+    p_grid.add_argument("--target", metavar="LABEL",
+                        help="target study label for --dist posterior (default: second row)")
     p_grid.add_argument("--from", dest="lo", type=float, help="grid start")
     p_grid.add_argument("--to", dest="hi", type=float, help="grid end")
     p_grid.add_argument("--points", type=int, default=200)
@@ -195,17 +196,28 @@ def _pick(studies: list[StudyEstimate], label: str | None, default_index: int,
     return matches[0]
 
 
-def _resolve_source(args) -> StudyEstimate:
-    direct = _direct_study(args)
-    if args.data is not None:
-        if direct is not None:
-            raise ConfigurationError("give either --data or direct estimates, not both")
-        studies = load_studies_csv(args.data, level=args.ci_level)
-        return _pick(studies, args.study, 0, args.data)
-    if direct is None:
-        raise ConfigurationError(
-            "no study given: use --data or direct --y/--se or --estimate/--lower/--upper")
-    return direct
+def _resolve_studies(args, with_target=False) -> tuple[StudyEstimate, StudyEstimate | None]:
+    """The source study, from ``--data`` or direct estimates, and with
+    ``with_target`` the target from ``--data`` (else None); every refusal to
+    pick a study is raised here."""
+    direct = _direct_study(args) if "y" in args else None  # shrink has no direct flags
+    if args.data is None:
+        if with_target:
+            raise ConfigurationError("--dist posterior needs --data")  # shrink requires it
+        if direct is None:
+            raise ConfigurationError(
+                "no study given: use --data or direct --y/--se or --estimate/--lower/--upper")
+        return direct, None
+    if direct is not None:
+        raise ConfigurationError("give either --data or direct estimates, not both")
+    studies = load_studies_csv(args.data, level=args.ci_level)
+    source = _pick(studies, args.source, 0, args.data)
+    if not with_target:
+        return source, None
+    target = _pick(studies, args.target, 1, args.data)
+    if source is target:
+        raise ConfigurationError("source and target are the same study row")
+    return source, target
 
 
 def _emit(payload, args, render_tsv) -> None:
@@ -221,7 +233,7 @@ def _emit(payload, args, render_tsv) -> None:
 
 
 def _cmd_map(args) -> None:
-    source = _resolve_source(args)
+    source, _ = _resolve_studies(args)
     prior = parse_prior_spec(args.prior)
     report = run_map_report(source, prior, uisd_override=args.uisd,
                             levels=args.level or [0.95],
@@ -230,11 +242,7 @@ def _cmd_map(args) -> None:
 
 
 def _cmd_shrink(args) -> None:
-    studies = load_studies_csv(args.data, level=args.ci_level)
-    source = _pick(studies, args.source, 0, args.data)
-    target = _pick(studies, args.target, 1, args.data)
-    if source is target:
-        raise ConfigurationError("source and target are the same study row")
+    source, target = _resolve_studies(args, with_target=True)
     prior = parse_prior_spec(args.prior)
     report = run_map_report(source, prior, target=target, uisd_override=args.uisd,
                             levels=args.level or [0.95])
@@ -271,15 +279,9 @@ def _grid_function(args):
         fn = lambda x: a0_density(prior, args.se, np.clip(x, eps, 1.0 - eps))
         return fn, (eps, 1.0 - eps)
 
-    if args.dist == "posterior":
-        studies = load_studies_csv(args.data, level=args.ci_level) if args.data else None
-        if studies is None:
-            raise ConfigurationError("--dist posterior needs --data")
-        source = _pick(studies, args.source, 0, args.data)
-        target = _pick(studies, args.target, 1, args.data)
+    source, target = _resolve_studies(args, with_target=args.dist == "posterior")
+    if target is not None:
         return posterior_mixture(MapPrior.from_study(source, prior), target).density, (None, None)
-
-    source = _resolve_source(args)
     if args.dist == "likelihood":
         return (lambda x: normal_pdf(x - source.y, 1.0 / source.variance)), (None, None)
 

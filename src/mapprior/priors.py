@@ -47,10 +47,6 @@ __all__ = [
 ]
 
 
-def _norm_quantile(p):
-    return special.ndtri(p)
-
-
 def _t_pdf(x, nu):
     c = math.exp(special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0))
     c /= math.sqrt(nu * math.pi)
@@ -94,8 +90,8 @@ _FAMILIES: dict[str, _Family] = {
         takes_shape=False,
         density=lambda x, _: math.sqrt(2.0 / math.pi) * np.exp(-0.5 * np.square(x)),
         cdf=lambda x, _: special.erf(x / math.sqrt(2.0)),
-        quantile=lambda p, _: _norm_quantile((1.0 + np.asarray(p, dtype=float)) / 2.0),
-        isf=lambda q, _: -_norm_quantile(q / 2.0),
+        quantile=lambda p, _: special.ndtri((1.0 + np.asarray(p, dtype=float)) / 2.0),
+        isf=lambda q, _: -special.ndtri(q / 2.0),
         mean=lambda _: math.sqrt(2.0 / math.pi),
         mean_sq=lambda _: 1.0,
         bounded=False,

@@ -78,9 +78,6 @@ import numpy as np
 
 from .errors import QuadratureError
 
-#: nodes per Gauss-Legendre panel
-PANEL_ORDER = 67
-
 #: most subintervals :func:`adaptive_quad` splits its interval into
 MAX_INTERVALS = 200
 
@@ -95,7 +92,7 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def panel_nodes(edges: np.ndarray, order: int = PANEL_ORDER) -> tuple[np.ndarray, np.ndarray]:
+def panel_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights over consecutive panels.
 
     Parameters
@@ -120,7 +117,7 @@ def panel_nodes(edges: np.ndarray, order: int = PANEL_ORDER) -> tuple[np.ndarray
 
 
 def fixed_quad(f: Callable[[np.ndarray], np.ndarray],
-               edges: np.ndarray, order: int = PANEL_ORDER) -> np.ndarray:
+               edges: np.ndarray, order: int) -> np.ndarray:
     """Integrate ``f`` over the panels given by ``edges`` (no refinement).
 
     ``f`` maps an array of abscissae to values whose *last* axis matches the

@@ -111,7 +111,7 @@ def run_map_report(source: StudyEstimate,
     if not math.isfinite(sd):
         map_block["sd_reason"] = "infinite: the heterogeneity prior has no finite second moment"
     lower, upper = bounds.reshape(2, -1)
-    map_block["intervals"] = [{"level": level, "lower": _log_ratio(float(lo)),
+    map_block["intervals"] = [{"level": round12(level), "lower": _log_ratio(float(lo)),
                                "upper": _log_ratio(float(hi))}
                               for level, lo, hi in zip(levels, lower, upper)]
     map_block["prob_below_zero"] = round12(map_prior.cdf(0.0))
@@ -137,7 +137,7 @@ def run_map_report(source: StudyEstimate,
                 "shape": round12(tau_prior.shape) if tau_prior.shape is not None else None,
                 "median": round12(tau_prior.median),
             },
-            "interval_levels": levels,
+            "interval_levels": [round12(level) for level in levels],
         },
         "effect_scale": "log; every 'ratio' value is the exponential of its 'log' value",
         "map_prior": map_block,
@@ -151,7 +151,7 @@ def run_map_report(source: StudyEstimate,
     shrink_intervals = []
     for level, summary in zip(levels, summaries):
         shrink_intervals.append({
-            "level": level,
+            "level": round12(level),
             "lower": _log_ratio(summary.lower),
             "upper": _log_ratio(summary.upper),
             "width_ratio": round12(interval_width_ratio(summary, target, level)),
@@ -188,7 +188,7 @@ def prior_comparison_table(source_se: float,
             "tau_median": round12(prior.median),
             "ess_elir": round12(ess),
             "sd": round12(sd) if math.isfinite(sd) else None,
-            "quantiles": {f"{lv:g}": round12(float(q))
+            "quantiles": {f"{lv:.12g}": round12(float(q))
                           for lv, q in zip(quantile_levels, quants)},
         })
     return rows
@@ -212,13 +212,13 @@ def render_table_tsv(rows: list[dict],
     """Tab-separated comparison table; infinite standard deviations render
     as empty cells."""
     header = ["family", "scale", "shape", "tau_median", "ess_elir", "sd"]
-    header += [f"q{lv:g}" for lv in quantile_levels]
+    header += [f"q{lv:.12g}" for lv in quantile_levels]
     lines = ["\t".join(header)]
     for row in rows:
         cells = [row["family"], _tsv_cell(row["scale"]), _tsv_cell(row["shape"]),
                  _tsv_cell(row["tau_median"]), _tsv_cell(row["ess_elir"]),
                  _tsv_cell(row["sd"])]
-        cells += [_tsv_cell(row["quantiles"][f"{lv:g}"]) for lv in quantile_levels]
+        cells += [_tsv_cell(row["quantiles"][f"{lv:.12g}"]) for lv in quantile_levels]
         lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"
 

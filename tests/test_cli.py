@@ -270,6 +270,117 @@ class TestGridCommand:
         assert code == 1 and "--prior" in err
 
 
+class TestStudySelection:
+    """``--source`` (also spelled ``--study``) picks the source row for
+    ``map`` and every ``grid`` distribution; all refusals exit 1."""
+
+    GRID = ("grid", "--data", ALPORT, "--prior", "half-normal(0.5)",
+            "--from", "-0.6", "--to", "0", "--points", "2")
+
+    def grid_at_start(self, capsys, tmp_path, *argv):
+        """Exit code, stderr, and the value at theta = -0.6 (None on failure)."""
+        out = tmp_path / "grid.tsv"
+        code, _, err = run_cli(capsys, *self.GRID, *argv, "--out", str(out))
+        if code != 0:
+            assert not out.exists()
+            return code, err, None
+        x, value = np.loadtxt(out)[0]
+        assert x == -0.6
+        return code, err, value
+
+    @pytest.mark.parametrize("flag", ["--source", "--study"])
+    def test_map_density_of_the_chosen_row(self, capsys, tmp_path, flag):
+        code, err, value = self.grid_at_start(capsys, tmp_path, "--dist", "map-density",
+                                              flag, "RCT")
+        assert code == 0 and err == ""
+        assert value == 0.428765521068
+
+    def test_map_report_of_the_chosen_row(self, capsys):
+        reports = []
+        for flag in ("--source", "--study"):
+            code, out, _ = run_cli(capsys, "map", "--data", ALPORT, flag, "RCT",
+                                   "--prior", "half-normal(0.5)")
+            assert code == 0
+            reports.append(out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["inputs"]["source"]["label"] == "RCT"
+
+    def test_posterior_of_the_chosen_rows(self, capsys, tmp_path):
+        code, err, value = self.grid_at_start(capsys, tmp_path, "--dist", "posterior",
+                                              "--study", "RCT", "--target", "observational")
+        assert code == 0 and err == ""
+        observational, rct = load_studies_csv(ALPORT)
+        assert value == pytest.approx(
+            posterior_density(make_prior("half-normal", 0.5), rct, observational, -0.6),
+            rel=1e-9)
+
+    @pytest.mark.parametrize("rows", [("--study", "RCT"),
+                                      ("--source", "observational", "--target", "observational")])
+    def test_posterior_against_itself_exits_1(self, capsys, tmp_path, rows):
+        code, err, _ = self.grid_at_start(capsys, tmp_path, "--dist", "posterior", *rows)
+        assert code == 1 and "same study row" in err
+
+    def test_posterior_with_direct_estimates_exits_1(self, capsys, tmp_path):
+        code, err, _ = self.grid_at_start(capsys, tmp_path, "--dist", "posterior",
+                                          "--y", "3", "--se", "1")
+        assert code == 1 and "not both" in err
+
+    def test_ambiguous_label_exits_1(self, capsys, tmp_path):
+        data = tmp_path / "twice.csv"
+        data.write_text("label,scale,estimate,lower,upper,se,n\n"
+                        "A,linear,0.1,,,0.3,\nA,linear,0.2,,,0.4,\n")
+        code, _, err = run_cli(capsys, "map", "--data", str(data), "--source", "A",
+                               "--prior", "half-normal(0.5)", "--uisd", "2")
+        assert code == 1 and "'A' is ambiguous" in err
+
+    @pytest.mark.parametrize("partial, message", [
+        (("--y", "-0.1"), "needs both --y and --se"),
+        (("--se", "0.3"), "needs both --y and --se"),
+        (("--estimate", "0.9", "--upper", "1.1"), "needs --estimate, --lower and --upper"),
+    ])
+    def test_partial_direct_input_exits_1(self, capsys, partial, message):
+        code, _, err = run_cli(capsys, "map", *partial, "--prior", "half-normal(0.5)",
+                               "--uisd", "2")
+        assert code == 1 and message in err
+
+
+class TestGridDistributions:
+    """The grid distributions read from their own definitions."""
+
+    def grid(self, capsys, tmp_path, *argv):
+        out = tmp_path / "grid.tsv"
+        code, _, err = run_cli(capsys, "grid", *argv, "--out", str(out))
+        assert code == 0 and err == ""
+        return np.loadtxt(out).T
+
+    @pytest.mark.filterwarnings("error")
+    def test_log_density_is_the_log_of_the_density(self, capsys, tmp_path):
+        # theta up to 30, where the density (about 4e-20) is still exact
+        study = ("--y", "0", "--se", "0.45", "--prior", "half-normal(0.5)",
+                 "--from", "-3", "--to", "30", "--points", "12")
+        x, log_density = self.grid(capsys, tmp_path, *study, "--dist", "map-log-density")
+        _, density = self.grid(capsys, tmp_path, *study, "--dist", "map-density")
+        assert x[-1] == 30.0 and np.all(density > 0.0)
+        np.testing.assert_allclose(log_density, np.log(density), rtol=1e-11)
+
+    @pytest.mark.parametrize("dist", ["tau-density", "tau-cdf"])
+    def test_tau_prior(self, capsys, tmp_path, dist):
+        x, value = self.grid(capsys, tmp_path, "--prior", "lomax(0.337,1)", "--dist", dist,
+                             "--to", "2", "--points", "5")
+        assert x[0] == 0.0 and x[-1] == 2.0
+        prior = make_prior("lomax", 0.337, 1.0)
+        expected = prior.density(x) if dist == "tau-density" else prior.cdf(x)
+        np.testing.assert_allclose(value, expected, rtol=1e-11)
+
+    def test_likelihood_of_the_chosen_row(self, capsys, tmp_path):
+        x, value = self.grid(capsys, tmp_path, "--data", ALPORT, "--source", "RCT",
+                             "--dist", "likelihood", "--from", "-2", "--to", "1",
+                             "--points", "4")
+        rct = load_studies_csv(ALPORT)[1]
+        expected = np.exp(-0.5 * ((x - rct.y) / rct.se) ** 2) / (rct.se * math.sqrt(2 * math.pi))
+        np.testing.assert_allclose(value, expected, rtol=1e-11)
+
+
 class TestExitCodes:
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -94,6 +94,14 @@ class TestAlportReport:
         assert report["inputs"]["target"]["label"] == alport_target.label
         assert report["inputs"]["tau_prior"]["spec"] == "half-normal(0.5)"
 
+    def test_echoed_levels_keep_12_digits(self, alport_source, alport_target, hn05):
+        report = run_map_report(alport_source, hn05, target=alport_target,
+                                levels=[0.123456789012345678, 0.95])
+        assert report["inputs"]["interval_levels"] == [0.123456789012, 0.95]
+        for block in (report["map_prior"], report["shrinkage"]):
+            assert [i["level"] for i in block["intervals"]] == [0.123456789012, 0.95]
+        assert "0.123456789012," in render_json(report)
+
 
 class TestConfiguration:
     def test_missing_uisd_source_rejected(self, hn05):
@@ -202,3 +210,20 @@ class TestComparisonTable:
         cells = tsv.splitlines()[1].split("\t")
         assert cells[5] == ""
         assert json.loads(render_json(rows))[0]["sd"] is None
+
+    def test_close_levels_keep_their_own_columns(self):
+        # to 6 significant digits the first two levels would share one key
+        levels = [0.9999991, 0.9999992, 0.9999999]
+        prior = make_prior("half-normal", 0.5)
+        rows = prior_comparison_table(0.451, [prior], 3.77, quantile_levels=levels)
+        alone = [prior_comparison_table(0.451, [prior], 3.77, quantile_levels=[lv])[0]
+                 for lv in levels]
+        keys = ["0.9999991", "0.9999992", "0.9999999"]
+        assert rows[0]["quantiles"] == {key: row["quantiles"][key]
+                                        for key, row in zip(keys, alone)}
+        assert len(set(rows[0]["quantiles"].values())) == 3
+        header, cells = (line.split("\t") for line in
+                         render_table_tsv(rows, quantile_levels=levels).splitlines())
+        assert header[6:] == [f"q{key}" for key in keys]
+        assert cells[6:] == [f"{rows[0]['quantiles'][key]:.12g}" for key in keys]
+        assert list(json.loads(render_json(rows))[0]["quantiles"]) == keys

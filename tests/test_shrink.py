@@ -12,6 +12,7 @@ from mapprior import (
     InvalidParameterError,
     MapPrior,
     QuadratureError,
+    ShrinkagePosterior,
     StudyEstimate,
     mac_oracle,
     make_prior,
@@ -102,6 +103,16 @@ class TestPosteriorObject:
         b = StudyEstimate(y=0.3, se=0.4)
         summary = posterior_summary(shrinkage_posterior(a, b, hn05))
         assert summary.median == pytest.approx(0.3, abs=1e-9)
+
+    def test_built_from_its_fields_summarizes_like_the_route(self, alport_source,
+                                                             alport_target, hn05):
+        # as the benchmark checks build one, without the route's mixture
+        post = shrinkage_posterior(alport_source, alport_target, hn05)
+        built = ShrinkagePosterior(grid=post.grid, density=post.density,
+                                   source_map=post.source_map, target=post.target)
+        assert built._mixture is None
+        assert posterior_summary(built) == posterior_summary(post)
+        assert built.mixture is built.mixture
 
     def test_invalid_level_rejected(self, alport_source, alport_target, hn05):
         post = shrinkage_posterior(alport_source, alport_target, hn05)
