@@ -51,6 +51,19 @@ from .study import StudyEstimate
 _GRID_DISTS = ("map-density", "map-cdf", "map-log-density", "posterior",
                "likelihood", "tau-density", "tau-cdf", "a0-density")
 
+#: the study flags that the tau and a0 distributions do not read
+_STUDY_FLAGS = ("data", "source", "y", "estimate", "lower", "upper", "n")
+
+#: the flags each grid distribution does not read (default: ``--target``),
+#: by dest, which is each flag's name
+_GRID_UNREAD = {
+    "posterior": (),
+    "likelihood": ("target", "prior"),
+    "a0-density": ("target", *_STUDY_FLAGS),
+    "tau-density": ("target", "se", *_STUDY_FLAGS),
+    "tau-cdf": ("target", "se", *_STUDY_FLAGS),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser for the CLI and, as their parser class, its
@@ -264,9 +277,11 @@ def _cmd_convert(args) -> None:
 
 
 def _grid_function(args):
-    needs_prior = args.dist not in ("likelihood",)
+    for dest in _GRID_UNREAD.get(args.dist, ("target",)):
+        if getattr(args, dest) is not None:
+            raise ConfigurationError(f"--dist {args.dist} does not read --{dest}")
     prior = parse_prior_spec(args.prior) if args.prior is not None else None
-    if needs_prior and prior is None:
+    if args.dist != "likelihood" and prior is None:
         raise ConfigurationError(f"--dist {args.dist} needs --prior")
 
     if args.dist in ("tau-density", "tau-cdf"):
@@ -275,9 +290,7 @@ def _grid_function(args):
     if args.dist == "a0-density":
         if args.se is None:
             raise ConfigurationError("--dist a0-density needs --se (the source SE)")
-        eps = 1e-6
-        fn = lambda x: a0_density(prior, args.se, np.clip(x, eps, 1.0 - eps))
-        return fn, (eps, 1.0 - eps)
+        return (lambda x: a0_density(prior, args.se, x)), (1e-6, 1.0 - 1e-6)
 
     source, target = _resolve_studies(args, with_target=args.dist == "posterior")
     if target is not None:

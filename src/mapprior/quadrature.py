@@ -53,18 +53,18 @@ Adaptive quadrature
 QUADPACK's error estimate, as in scipy's ``quad_vec``) for integrands that
 take an array of abscissae, as :func:`fixed_quad`'s do: it bisects the
 interval with the largest error, evaluating both halves in one call, until
-the error is below ``rel_tol / 8`` of the largest component, within
+the error is below ``QUAD_TOL / 8`` of the largest component, within
 ``MAX_INTERVALS`` intervals.  :func:`mix_against_prior` integrates one
-integrand against a prior with it.  The half-line is mapped to the unit
-interval with
+integrand against a prior with it, in
 
     u = tau / (tau + c),    tau = c * u / (1 - u),
 
-where the pivot c is the prior median; priors with bounded support
-(uniform) are integrated directly on [0, s].  The caller-declared feature
-scales become breakpoints.  The independent posterior routes
-(``mac_oracle`` and ``reference_model_posterior``) use this route, so they
-share no node, layout or check with the mixture they are compared against.
+where the pivot c is the prior median: over [0, 1) for the half-line, and
+over [0, s / (s + c)] for a prior with bounded support [0, s] (uniform).
+The caller-declared feature scales become breakpoints.  The independent
+posterior routes (``mac_oracle`` and ``reference_model_posterior``) use
+this route, so they share no node, layout or check with the mixture they
+are compared against.
 """
 
 from __future__ import annotations
@@ -80,6 +80,9 @@ from .errors import QuadratureError
 
 #: most subintervals :func:`adaptive_quad` splits its interval into
 MAX_INTERVALS = 200
+
+#: relative error :func:`adaptive_quad` holds its integrals to, in the max norm
+QUAD_TOL = 1e-9
 
 #: values below this fraction of the largest component are held to an
 #: absolute rather than relative tolerance by the rule check
@@ -181,12 +184,12 @@ def _kronrod(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
 
 
 def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                  rel_tol: float = 1e-9, points: Sequence[float] = ()) -> np.ndarray | float:
+                  points: Sequence[float] = ()) -> np.ndarray | float:
     """Integrate ``f`` over [a, b] by global adaptive Gauss-Kronrod (G10/K21).
 
     ``f`` maps an array of abscissae to values whose *last* axis matches
     them; leading axes are integrated componentwise, and the error is held
-    to ``rel_tol`` of the largest component (the max norm).  ``points`` are
+    to ``QUAD_TOL`` of the largest component (the max norm).  ``points`` are
     breakpoints where ``f`` changes scale; those outside (a, b) are
     ignored.  ``f`` is called once on the nodes of the starting intervals,
     then once per bisection, on the nodes of both halves.
@@ -195,7 +198,7 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     ------
     QuadratureError
         If the error and round-off, within ``MAX_INTERVALS`` intervals,
-        exceed ``rel_tol`` of the largest component (or are NaN); the
+        exceed ``QUAD_TOL`` of the largest component (or are NaN); the
         achieved error is reported on the exception.
     """
     edges = np.array([a, *sorted({float(p) for p in points if a < p < b}), b], dtype=float)
@@ -213,52 +216,45 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         values[worst:worst + 1], errors[worst:worst + 1] = halves, halves_err
         intervals[worst:worst + 1] = [(lo, mid), (mid, hi)]
         err = math.fsum(errors)
-        if not rel_tol * float(np.max(np.abs(total))) / 8.0 < err < math.inf or err < rounding:
+        if not QUAD_TOL * float(np.max(np.abs(total))) / 8.0 < err < math.inf or err < rounding:
             break       # converged, not finite, or down to round-off
     err = math.fsum(errors) + rounding
     peak = float(np.max(np.abs(total)))
-    if not err <= rel_tol * peak:
+    if not err <= QUAD_TOL * peak:
         raise QuadratureError(f"integral did not converge within {MAX_INTERVALS} intervals",
                               achieved=err / peak if peak else math.inf)
     return total
 
 
-def mix_against_prior(f: Callable[[np.ndarray], np.ndarray], prior, rel_tol: float = 1e-9,
+def mix_against_prior(f: Callable[[np.ndarray], np.ndarray], prior,
                       inner_scale: float | None = None,
                       outer_scale: float | None = None) -> np.ndarray | float:
     """Integrate ``f(tau) * prior.density(tau)`` over the prior's support
-    with :func:`adaptive_quad`.
+    with :func:`adaptive_quad`, in u = tau / (tau + c), c the prior median.
 
     ``prior`` is duck-typed: it must provide ``density(tau)``,
     ``quantile(p)`` and ``support_upper`` (``inf`` for half-line families).
     ``f`` maps an array of tau to a new float array whose last axis matches
     it, as :func:`adaptive_quad`'s integrand does; it is scaled in place by
-    the prior density, evaluated once per call.
+    the prior density and the Jacobian, evaluated once per call.
 
     ``inner_scale`` and ``outer_scale`` are the smallest and largest tau
     values (in tau units) at which ``f`` still has structure; they become
     breakpoints.  Omit them for integrands whose features sit at the
     prior's own scale.
     """
-    scales = [s for s in (inner_scale, outer_scale) if s]
-    upper = float(prior.support_upper)
-    if math.isfinite(upper):
-        return adaptive_quad(lambda tau: _scaled(f(tau), prior.density(tau)), 0.0, upper,
-                             rel_tol, scales)
-
     pivot = float(prior.quantile(0.5))
 
     def g(u: np.ndarray) -> np.ndarray:
         u = np.minimum(u, np.nextafter(1.0, 0.0))     # a node may round to u = 1
         tau = pivot * u / (1.0 - u)
-        return _scaled(f(tau), prior.density(tau) * pivot / np.square(1.0 - u))
+        values = f(tau)
+        # in place: a copy of 1-2 MB took ~950 page faults per integral
+        values *= prior.density(tau) * pivot / np.square(1.0 - u)
+        return values
 
-    return adaptive_quad(g, 0.0, 1.0, rel_tol, [s / (s + pivot) for s in scales])
-
-
-def _scaled(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    values *= weights       # a copy of 1-2 MB took ~950 page faults per integral
-    return values
+    end = 1.0 / (1.0 + pivot / float(prior.support_upper))     # s / (s + c), or 1
+    return adaptive_quad(g, 0.0, end, [s / (s + pivot) for s in (inner_scale, outer_scale) if s])
 
 
 # -- mixing rules ------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidParameterError, as_real, as_reals
+from .errors import ConfigurationError, InvalidParameterError, as_count, as_real, as_reals
 from .information import _ess_and_quantiles, uisd
 from .mixture import MapPrior
 from .priors import HeterogeneityPrior
@@ -92,11 +92,14 @@ def run_map_report(source: StudyEstimate,
 
     The unit-information standard deviation comes from the source study's
     patient count unless overridden; with neither available a
-    :class:`ConfigurationError` is raised.
+    :class:`ConfigurationError` is raised.  ``sample_check`` (at least 2
+    draws) appends a Monte Carlo moment check of the MAP prior.
     """
     levels = as_reals(levels, "interval levels", 0.0, 1.0).ravel().tolist()
     if not levels:
         raise InvalidParameterError("need one or more interval levels")
+    if sample_check is not None:    # a sample SD needs two draws
+        sample_check = as_count(sample_check, "sample_check draws", 2)
     map_prior = MapPrior.from_study(source, tau_prior)
     uisd_value = _resolve_uisd(source, uisd_override)
     lv = np.asarray(levels)
@@ -117,7 +120,7 @@ def run_map_report(source: StudyEstimate,
     map_block["prob_below_zero"] = round12(map_prior.cdf(0.0))
     map_block["uisd"] = round12(uisd_value)
     map_block["ess_elir"] = round12(ess)
-    if sample_check:
+    if sample_check is not None:
         draws = map_prior.sample(sample_check, seed)
         map_block["monte_carlo"] = {
             "draws": int(sample_check),

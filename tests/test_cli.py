@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR, posterior_density
-from mapprior import QuadratureError, load_studies_csv, make_prior
+from mapprior import QuadratureError, a0_density, load_studies_csv, make_prior
 from mapprior import cli
 from mapprior.cli import build_parser, main
 
@@ -81,6 +81,14 @@ class TestMapCommand:
         assert code == 0
         mc = json.loads(out)["map_prior"]["monte_carlo"]
         assert mc["draws"] == 10000 and mc["seed"] == 11
+
+    @pytest.mark.parametrize("draws", ["0", "1"])
+    def test_sample_check_below_two_draws_exits_1(self, capsys, draws):
+        # a sample SD needs two draws: one gave "sd_log": NaN, zero no block
+        code, out, err = run_cli(capsys, "map", "--data", TOPCAT,
+                                 "--prior", "half-normal(0.25)", "--sample-check", draws)
+        assert code == 1 and out == ""
+        assert err == f"mapprior: error: sample_check draws must be an integer >= 2, got {draws}\n"
 
     def test_round_flag(self, capsys):
         code, out, _ = run_cli(capsys, "map", "--data", TOPCAT,
@@ -250,6 +258,28 @@ class TestGridCommand:
         assert values[-1, 0] == pytest.approx(1.0 - 1e-6)
         assert np.isfinite(values[:, 1]).all()
 
+    @pytest.mark.filterwarnings("error")
+    def test_a0_density_at_the_requested_points(self, capsys, tmp_path):
+        # above 1 - 1e-6 too, where the density keeps growing, and its limit at 1
+        out = tmp_path / "a0.tsv"
+        code, _, _ = run_cli(capsys, "grid", "--prior", "half-normal(0.5)", "--se", "0.4",
+                             "--dist", "a0-density", "--from", "0.9999998", "--to", "1",
+                             "--points", "3", "--out", str(out))
+        assert code == 0
+        value = np.loadtxt(out)[:, 1]
+        expected = a0_density(make_prior("half-normal", 0.5), 0.4,
+                              np.linspace(0.9999998, 1.0, 3))
+        assert value[-1] == expected[-1] == math.inf
+        np.testing.assert_allclose(value[:-1], expected[:-1], rtol=1e-11)
+        assert value[0] < value[1]
+
+    def test_a0_density_outside_the_unit_interval_exits_1(self, capsys, tmp_path):
+        out = tmp_path / "a0.tsv"
+        code, _, err = run_cli(capsys, "grid", "--prior", "half-normal(0.5)", "--se", "0.4",
+                               "--dist", "a0-density", "--from", "0.5", "--to", "1.5",
+                               "--points", "4", "--out", str(out))
+        assert code == 1 and "borrowing exponent" in err and not out.exists()
+
     def test_negative_numbers_in_exponent_form(self, capsys, tmp_path):
         out = tmp_path / "cdf.tsv"
         code, _, err = run_cli(capsys, "grid", "--y", "-5e-05", "--se", "0.5",
@@ -379,6 +409,45 @@ class TestGridDistributions:
         rct = load_studies_csv(ALPORT)[1]
         expected = np.exp(-0.5 * ((x - rct.y) / rct.se) ** 2) / (rct.se * math.sqrt(2 * math.pi))
         np.testing.assert_allclose(value, expected, rtol=1e-11)
+
+
+#: a valid ``grid`` command of each distribution other than the posterior
+_GRID_COMMANDS = {
+    "map-density": ("--y", "0", "--se", "0.4", "--prior", "half-normal(0.5)",
+                    "--from", "-1", "--to", "1"),
+    "likelihood": ("--y", "0", "--se", "0.4", "--from", "-1", "--to", "1"),
+    "a0-density": ("--se", "0.4", "--prior", "half-normal(0.5)"),
+    "tau-density": ("--prior", "half-normal(0.5)", "--to", "1"),
+}
+_GRID_COMMANDS["map-cdf"] = _GRID_COMMANDS["map-log-density"] = _GRID_COMMANDS["map-density"]
+_GRID_COMMANDS["tau-cdf"] = _GRID_COMMANDS["tau-density"]
+
+#: the study flags that the tau and a0 distributions do not read, with a value
+_STUDY_FLAGS = [("--data", ALPORT), ("--source", "RCT"), ("--study", "RCT"), ("--y", "0"),
+                ("--estimate", "0.9"), ("--lower", "0.8"), ("--upper", "1.1"), ("--n", "70")]
+
+
+#: (distribution, a flag it does not read, a value)
+_UNREAD = [*[(dist, "--target", "RCT") for dist in _GRID_COMMANDS],
+           *[(dist, flag, value) for dist in ("tau-density", "tau-cdf", "a0-density")
+             for flag, value in _STUDY_FLAGS],
+           ("tau-density", "--se", "0.4"),
+           ("tau-cdf", "--se", "0.4"),
+           ("likelihood", "--prior", "half-normal(0.5)")]
+
+
+class TestUnreadGridFlags:
+    """``grid`` refuses a flag that its distribution does not read."""
+
+    @pytest.mark.parametrize("dist, flag, value", _UNREAD,
+                             ids=[f"{dist}{flag}" for dist, flag, _ in _UNREAD])
+    def test_exits_1(self, capsys, tmp_path, dist, flag, value):
+        out = tmp_path / "grid.tsv"
+        code, _, err = run_cli(capsys, "grid", "--dist", dist, *_GRID_COMMANDS[dist],
+                               "--points", "2", flag, value, "--out", str(out))
+        named = "--source" if flag == "--study" else flag
+        assert code == 1 and not out.exists()
+        assert err == f"mapprior: error: --dist {dist} does not read {named}\n"
 
 
 class TestExitCodes:

@@ -13,11 +13,20 @@ import pytest
 from scipy.integrate import quad_vec
 
 import mapprior
-from mapprior import QuadratureError, mac_oracle, make_prior, quadrature, reference_model_posterior
+from conftest import posterior_density
+from mapprior import (
+    QuadratureError,
+    mac_oracle,
+    make_prior,
+    parse_ratio_ci,
+    quadrature,
+    reference_model_posterior,
+)
 from mapprior.quadrature import (
     _RULE_WIDTH,
     MAX_INTERVALS,
     MAX_REACH,
+    QUAD_TOL,
     _rule_layout,
     adaptive_quad,
     fixed_quad,
@@ -86,6 +95,15 @@ ORACLE_PRIORS = [("half-normal", 0.5, None), ("half-cauchy", 0.3, None),
                  ("lomax", 0.337, 1.0), ("uniform", 0.7, None)]
 
 
+#: half the Alport source SE: the inner breakpoint of both oracle routes
+_HALF_SOURCE_SE = 0.5 * parse_ratio_ci(0.53, 0.22, 1.29)[1]
+
+#: uniform prior scales: the routes' breakpoints fall beyond, at (for the
+#: bias prior, of scale sqrt(2) s, then for tau) and inside the support [0, s]
+UNIFORM_SCALES = [1e-8, 1e-3, _HALF_SOURCE_SE / math.sqrt(2.0), _HALF_SOURCE_SE, 0.7, 3.0,
+                  2e3]
+
+
 class TestOracleIntegrals:
     @pytest.mark.parametrize("route", [mac_oracle, reference_model_posterior])
     @pytest.mark.parametrize("family,scale,shape", ORACLE_PRIORS)
@@ -94,9 +112,9 @@ class TestOracleIntegrals:
         # scipy's quad_vec runs the same G10/K21 rule, one abscissa per call
         pairs = []
 
-        def both(f, a, b, rel_tol=1e-9, points=()):
-            ours = adaptive_quad(f, a, b, rel_tol, points)
-            theirs = quad_vec(lambda x: f(np.array([x]))[..., 0], a, b, epsrel=rel_tol,
+        def both(f, a, b, points=()):
+            ours = adaptive_quad(f, a, b, points)
+            theirs = quad_vec(lambda x: f(np.array([x]))[..., 0], a, b, epsrel=QUAD_TOL,
                               norm="max", limit=MAX_INTERVALS, points=points)[0]
             pairs.append((ours, theirs))
             return ours
@@ -106,6 +124,17 @@ class TestOracleIntegrals:
         [(ours, theirs)] = pairs
         assert ours.shape == theirs.shape == (4001,)
         assert np.max(np.abs(ours - theirs)) <= 1e-10 * np.max(np.abs(theirs))
+
+    @pytest.mark.parametrize("route", [mac_oracle, reference_model_posterior])
+    @pytest.mark.parametrize("scale", UNIFORM_SCALES)
+    def test_bounded_prior_matches_quad_oracle(self, alport_source, alport_target, route,
+                                               scale):
+        prior = make_prior("uniform", scale)
+        post = route(alport_source, alport_target, prior)
+        for index in (500, 2000, 3500):
+            assert post.density[index] == pytest.approx(
+                posterior_density(prior, alport_source, alport_target, post.grid[index]),
+                rel=1e-8)
 
     def test_routes_leave_scipy_integrate_unloaded(self):
         code = textwrap.dedent("""

@@ -141,6 +141,13 @@ class TestConfiguration:
         with pytest.raises(InvalidParameterError, match="interval levels"):
             run_map_report(alport_source, hn05, target=target, levels=levels)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("draws", [0, 1])
+    def test_sample_check_needs_two_draws(self, topcat, draws):
+        # one draw has no sample SD: it gave NaN and a numpy warning
+        with pytest.raises(InvalidParameterError, match="sample_check"):
+            run_map_report(topcat, make_prior("half-normal", 0.25), sample_check=draws)
+
     def test_sample_check_deterministic(self, topcat):
         prior = make_prior("half-normal", 0.25)
         a = run_map_report(topcat, prior, sample_check=20_000, seed=5)
