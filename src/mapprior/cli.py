@@ -52,10 +52,11 @@ _GRID_DISTS = ("map-density", "map-cdf", "map-log-density", "posterior",
                "likelihood", "tau-density", "tau-cdf", "a0-density")
 
 #: the study flags that the tau and a0 distributions do not read
-_STUDY_FLAGS = ("data", "source", "y", "estimate", "lower", "upper", "n")
+_STUDY_FLAGS = ("data", "source", "y", "estimate", "lower", "upper")
 
-#: the flags each grid distribution does not read (default: ``--target``),
-#: by dest, which is each flag's name
+#: the flags each grid distribution does not read besides ``--n`` and
+#: ``--label``, which none reads (default: ``--target``), by dest, which is
+#: each flag's name
 _GRID_UNREAD = {
     "posterior": (),
     "likelihood": ("target", "prior"),
@@ -102,7 +103,7 @@ def _add_study_options(p: argparse.ArgumentParser):
     p.add_argument("--lower", type=float, help="ratio-scale interval lower bound")
     p.add_argument("--upper", type=float, help="ratio-scale interval upper bound")
     p.add_argument("--n", type=int, help="patient count behind the estimate")
-    p.add_argument("--label", default="", help="label for a directly given study")
+    p.add_argument("--label", help="label for a directly given study")
     p.add_argument("--ci-level", type=float, default=0.95,
                    help="confidence level of ratio-scale intervals (default 0.95)")
 
@@ -184,13 +185,13 @@ def _direct_study(args) -> StudyEstimate | None:
                 "(--estimate/--lower/--upper) input, not both")
         if args.y is None or args.se is None:
             raise ConfigurationError("direct log-scale input needs both --y and --se")
-        return StudyEstimate(y=args.y, se=args.se, n=args.n, label=args.label)
+        return StudyEstimate(y=args.y, se=args.se, n=args.n, label=args.label or "")
     if ratio_flags:
         if None in (args.estimate, args.lower, args.upper):
             raise ConfigurationError(
                 "ratio-scale input needs --estimate, --lower and --upper")
         y, se = parse_ratio_ci(args.estimate, args.lower, args.upper, args.ci_level)
-        return StudyEstimate(y=y, se=se, n=args.n, label=args.label)
+        return StudyEstimate(y=y, se=se, n=args.n, label=args.label or "")
     return None
 
 
@@ -223,6 +224,10 @@ def _resolve_studies(args, with_target=False) -> tuple[StudyEstimate, StudyEstim
         return direct, None
     if direct is not None:
         raise ConfigurationError("give either --data or direct estimates, not both")
+    for dest in ("n", "label"):
+        if getattr(args, dest, None) is not None:       # shrink has neither flag
+            raise ConfigurationError(f"--{dest} is for a directly given study: "
+                                     "--data rows give their own")
     studies = load_studies_csv(args.data, level=args.ci_level)
     source = _pick(studies, args.source, 0, args.data)
     if not with_target:
@@ -277,7 +282,7 @@ def _cmd_convert(args) -> None:
 
 
 def _grid_function(args):
-    for dest in _GRID_UNREAD.get(args.dist, ("target",)):
+    for dest in ("n", "label", *_GRID_UNREAD.get(args.dist, ("target",))):
         if getattr(args, dest) is not None:
             raise ConfigurationError(f"--dist {args.dist} does not read --{dest}")
     prior = parse_prior_spec(args.prior) if args.prior is not None else None

@@ -78,7 +78,7 @@ def a0_density(tau_prior: HeterogeneityPrior, s1: float, a0):
     """
     s1 = as_real(s1, "source standard error", 0.0)
     a0 = as_reals(a0, "borrowing exponent", 0.0, 1.0, ends="[]")
-    k = tau_prior._spec.tail_index(tau_prior.shape)
+    k = tau_prior.tail_index
     zero_limit = (math.inf if k < 2.0 else 0.0 if k > 2.0
                   else 2.0 * (tau_prior.scale / s1) ** 2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -230,6 +230,11 @@ class HeterogeneityPrior:
         """Upper end of the support (``inf`` for the half-line families)."""
         return self.scale if self._spec.bounded else math.inf
 
+    @property
+    def tail_index(self) -> float:
+        """Index k of a power tail, density ~ tau^-(k+1); ``inf`` if lighter."""
+        return self._spec.tail_index(self.shape)
+
     def density(self, tau) -> np.ndarray:
         """Probability density at ``tau`` (0 for tau < 0)."""
         tau = np.asarray(tau, dtype=float)

@@ -28,8 +28,9 @@ run out to where the prior mass beyond is negligible (below 1e-25, as
 estimated by max(1 - F, tau p(tau)), the second standing in for the first
 once the CDF rounds to 1), or to the support's upper end.  Laying the far
 tail directly in tau octaves, rather than in u = tau / (tau + c), keeps a
-Lomax tail with shape below about 1.2 in reach: its integrand behaves like
-(1 - u)^(alpha - 1) at u = 1, beyond where dyadic u-panels can go.  The far
+Lomax tail with shape below about 1.2 in reach: in u its integrand behaves
+like (1 - u)^(alpha - 1) at u = 1, which fixed u-panels resolve only by
+crowding toward u = 1, until their nodes round to it.  The far
 tail holding less than 1e-23 of the prior mass, and single nodes below
 1e-26 of it, are pruned; the layout does not depend on the reach.
 
@@ -57,14 +58,17 @@ the error is below ``QUAD_TOL / 8`` of the largest component, within
 ``MAX_INTERVALS`` intervals.  :func:`mix_against_prior` integrates one
 integrand against a prior with it, in
 
-    u = tau / (tau + c),    tau = c * u / (1 - u),
+    tau = c * (u / (1 - u))^k,    u = tau^(1/k) / (tau^(1/k) + c^(1/k)),
 
 where the pivot c is the prior median: over [0, 1) for the half-line, and
-over [0, s / (s + c)] for a prior with bounded support [0, s] (uniform).
-The caller-declared feature scales become breakpoints.  The independent
-posterior routes (``mac_oracle`` and ``reference_model_posterior``) use
-this route, so they share no node, layout or check with the mixture they
-are compared against.
+over [0, u(s)] for a prior with bounded support [0, s] (uniform).  The
+caller-declared feature scales become breakpoints.  The power k is 2 for a
+power tail of index alpha below 2, else 1: against such a tail an integrand
+falling like 1 / tau behaves like (1 - u)^alpha at u = 1 for k = 1, which
+bisection chases toward u = 1, but like (1 - u)^(2 alpha + 1) for k = 2.
+The independent posterior routes (``mac_oracle`` and
+``reference_model_posterior``) use this route, so they share no node,
+layout or check with the mixture they are compared against.
 """
 
 from __future__ import annotations
@@ -230,10 +234,12 @@ def mix_against_prior(f: Callable[[np.ndarray], np.ndarray], prior,
                       inner_scale: float | None = None,
                       outer_scale: float | None = None) -> np.ndarray | float:
     """Integrate ``f(tau) * prior.density(tau)`` over the prior's support
-    with :func:`adaptive_quad`, in u = tau / (tau + c), c the prior median.
+    with :func:`adaptive_quad`, in u with tau = c * (u / (1 - u))^k, c the
+    prior median, k = 2 for a tail index below 2 and 1 otherwise.
 
     ``prior`` is duck-typed: it must provide ``density(tau)``,
-    ``quantile(p)`` and ``support_upper`` (``inf`` for half-line families).
+    ``quantile(p)``, ``support_upper`` (``inf`` for half-line families) and
+    ``tail_index``.
     ``f`` maps an array of tau to a new float array whose last axis matches
     it, as :func:`adaptive_quad`'s integrand does; it is scaled in place by
     the prior density and the Jacobian, evaluated once per call.
@@ -244,17 +250,20 @@ def mix_against_prior(f: Callable[[np.ndarray], np.ndarray], prior,
     prior's own scale.
     """
     pivot = float(prior.quantile(0.5))
+    k = 2 if prior.tail_index < 2.0 else 1
 
     def g(u: np.ndarray) -> np.ndarray:
         u = np.minimum(u, np.nextafter(1.0, 0.0))     # a node may round to u = 1
-        tau = pivot * u / (1.0 - u)
+        tau = pivot * u ** k / (1.0 - u) ** k
         values = f(tau)
         # in place: a copy of 1-2 MB took ~950 page faults per integral
-        values *= prior.density(tau) * pivot / np.square(1.0 - u)
+        values *= prior.density(tau) * (k * pivot) * u ** (k - 1) / (1.0 - u) ** (k + 1)
         return values
 
-    end = 1.0 / (1.0 + pivot / float(prior.support_upper))     # s / (s + c), or 1
-    return adaptive_quad(g, 0.0, end, [s / (s + pivot) for s in (inner_scale, outer_scale) if s])
+    root = 1.0 / k
+    end = 1.0 / (1.0 + (pivot / float(prior.support_upper)) ** root)     # u(s); 1 at s = inf
+    return adaptive_quad(g, 0.0, end, [s ** root / (s ** root + pivot ** root)
+                                       for s in (inner_scale, outer_scale) if s])
 
 
 # -- mixing rules ------------------------------------------------------------

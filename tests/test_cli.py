@@ -363,6 +363,26 @@ class TestStudySelection:
                                "--prior", "half-normal(0.5)", "--uisd", "2")
         assert code == 1 and "'A' is ambiguous" in err
 
+    @pytest.mark.parametrize("flag, value", [("--n", "5"), ("--label", "trial")])
+    def test_direct_study_flag_with_data_exits_1(self, capsys, flag, value):
+        # the CSV row has its own n (3445) and label, which the flag would not replace
+        code, out, err = run_cli(capsys, "map", "--data", TOPCAT, flag, value,
+                                 "--prior", "half-normal(0.25)")
+        assert code == 1 and out == ""
+        assert err == f"mapprior: error: {flag} is for a directly given study: " \
+                      "--data rows give their own\n"
+
+    @pytest.mark.parametrize("direct", [
+        ("--estimate", "0.89", "--lower", "0.77", "--upper", "1.04"),
+        ("--y", "-0.117", "--se", "0.077"),
+    ])
+    def test_direct_study_keeps_n_and_label(self, capsys, direct):
+        code, out, _ = run_cli(capsys, "map", *direct, "--n", "3445", "--label", "TOPCAT",
+                               "--prior", "half-normal(0.25)")
+        assert code == 0
+        source = json.loads(out)["inputs"]["source"]
+        assert source["n"] == 3445 and source["label"] == "TOPCAT"
+
     @pytest.mark.parametrize("partial, message", [
         (("--y", "-0.1"), "needs both --y and --se"),
         (("--se", "0.3"), "needs both --y and --se"),
@@ -411,8 +431,9 @@ class TestGridDistributions:
         np.testing.assert_allclose(value, expected, rtol=1e-11)
 
 
-#: a valid ``grid`` command of each distribution other than the posterior
+#: a valid ``grid`` command of each distribution
 _GRID_COMMANDS = {
+    "posterior": ("--data", ALPORT, "--prior", "half-normal(0.5)", "--from", "-1", "--to", "1"),
     "map-density": ("--y", "0", "--se", "0.4", "--prior", "half-normal(0.5)",
                     "--from", "-1", "--to", "1"),
     "likelihood": ("--y", "0", "--se", "0.4", "--from", "-1", "--to", "1"),
@@ -428,9 +449,12 @@ _STUDY_FLAGS = [("--data", ALPORT), ("--source", "RCT"), ("--study", "RCT"), ("-
 
 
 #: (distribution, a flag it does not read, a value)
-_UNREAD = [*[(dist, "--target", "RCT") for dist in _GRID_COMMANDS],
+_UNREAD = [*[(dist, "--target", "RCT") for dist in _GRID_COMMANDS if dist != "posterior"],
            *[(dist, flag, value) for dist in ("tau-density", "tau-cdf", "a0-density")
              for flag, value in _STUDY_FLAGS],
+           *[(dist, "--n", "70") for dist in ("posterior", "likelihood", "map-density",
+                                               "map-cdf", "map-log-density")],
+           *[(dist, "--label", "trial") for dist in _GRID_COMMANDS],
            ("tau-density", "--se", "0.4"),
            ("tau-cdf", "--se", "0.4"),
            ("likelihood", "--prior", "half-normal(0.5)")]
