@@ -15,8 +15,9 @@ legitimately turns negative, at negligible weight).
 For a :class:`MapPrior` the local information is the analytic curvature of
 the log mixture density (Neuenschwander et al. 2020), read together with
 the density from one evaluation, and the panel edges come from one quantile
-inversion.  For any other density, :func:`ess_elir` estimates the curvature
-by central finite differences with Richardson extrapolation.
+inversion; the panels cover the upper half, as both are symmetric about
+the location.  For any other density, :func:`ess_elir` estimates the
+curvature by central finite differences with Richardson extrapolation.
 """
 
 from __future__ import annotations
@@ -152,12 +153,14 @@ def ess_elir(density: Callable[[np.ndarray], np.ndarray],
 def _ess_and_quantiles(map_prior: MapPrior, uisd_value: float,
                        levels: Sequence[float] = ()) -> tuple[float, np.ndarray]:
     """ESS of a scale-mixture prior and its quantiles at ``levels``, from one
-    quantile solve: panels at the ladder's quantiles, local information from
-    the analytic log-density curvature."""
+    quantile solve: panels at the ladder's upper-half quantiles (the mixture
+    is symmetric about its median), local information from the analytic
+    log-density curvature."""
     uisd_value = as_real(uisd_value, "uisd", 0.0)
     ladder = _probability_ladder()
     quantiles = map_prior.quantiles(np.concatenate([ladder, np.asarray(levels, dtype=float)]))
-    nodes, weights = panel_nodes(_panel_edges(quantiles[:ladder.size]), order=_PANEL_ORDER)
+    nodes, weights = panel_nodes(_panel_edges(quantiles[ladder.size // 2:ladder.size]),
+                                 _PANEL_ORDER)
     p, curvature = map_prior._density_and_curvature(nodes)
     return _expectation(weights, p, -curvature, uisd_value), quantiles[ladder.size:]
 

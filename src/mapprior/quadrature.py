@@ -32,21 +32,23 @@ Lomax tail with shape below about 1.2 in reach: in u its integrand behaves
 like (1 - u)^(alpha - 1) at u = 1, which fixed u-panels resolve only by
 crowding toward u = 1, until their nodes round to it.  The far
 tail holding less than 1e-23 of the prior mass, and single nodes below
-1e-26 of it, are pruned; the layout does not depend on the reach.
+1e-26 of it, are pruned.  Beyond 100 times the reach (below), where every
+kernel is a smooth low-order function of v = 1 / tau, more than five nodes
+are collapsed into the five-node Gauss rule of their measure in v.
 
 Check.  A rule is built for a reach: the largest offset |theta - y1| it
 must serve, at most ``MAX_REACH`` (1e150) and ``MAX_REACH_SCALES`` (1e153)
 inner scales: the kernels still hold its square times their precisions.
 It is checked once, when it is built, against the same layout with every
-panel halved and nothing pruned, plus the prior mass beyond the last panel
-placed at tau = inf (where every kernel takes its limit).  The caller's
-check, the tail and the density of the mixture the rule serves, is
-compared at probe offsets spanning [0, reach], each quantity to 1e-9
-relative, with values below 1e-12 of its largest held absolutely.  A rule
-that fails raises :class:`QuadratureError` with the achieved error.  A
-rule checked for a reach serves every smaller one; an evaluation that
-reaches further makes its owner build and check a rule for the larger
-reach.
+panel halved, nothing pruned and the far tail collapsed into eight nodes,
+plus the prior mass beyond the last panel placed at tau = inf (where every
+kernel takes its limit).  The caller's check, the tail and the density of
+the mixture the rule serves, is compared at probe offsets spanning
+[0, reach], each quantity to 1e-9 relative, with values below 1e-12 of its
+largest held absolutely.  A rule that fails raises :class:`QuadratureError`
+with the achieved error.  A rule checked for a reach serves every smaller
+one; an evaluation that reaches further makes its owner build and check a
+rule for the larger reach.
 
 Adaptive quadrature
 -------------------
@@ -237,7 +239,7 @@ def mix_against_prior(f: Callable[[np.ndarray], np.ndarray], prior,
     with :func:`adaptive_quad`, in u with tau = c * (u / (1 - u))^k, c the
     prior median, k = 2 for a tail index below 2 and 1 otherwise.
 
-    ``prior`` is duck-typed: it must provide ``density(tau)``,
+    ``prior`` is duck-typed: it must provide ``density(tau)``, ``cdf(tau)``,
     ``quantile(p)``, ``support_upper`` (``inf`` for half-line families) and
     ``tail_index``.
     ``f`` maps an array of tau to a new float array whose last axis matches
@@ -247,7 +249,10 @@ def mix_against_prior(f: Callable[[np.ndarray], np.ndarray], prior,
     ``inner_scale`` and ``outer_scale`` are the smallest and largest tau
     values (in tau units) at which ``f`` still has structure; they become
     breakpoints.  Omit them for integrands whose features sit at the
-    prior's own scale.
+    prior's own scale.  On the half-line, nodes are clamped at the tau_last
+    of u = nextafter(1, 0), beyond which ``f`` must be bounded by its value
+    there (every integrand here decays in tau); a loss (1 - F(tau_last))
+    max |f(tau_last)| above ``QUAD_TOL`` relative raises :class:`QuadratureError`.
     """
     pivot = float(prior.quantile(0.5))
     k = 2 if prior.tail_index < 2.0 else 1
@@ -262,8 +267,15 @@ def mix_against_prior(f: Callable[[np.ndarray], np.ndarray], prior,
 
     root = 1.0 / k
     end = 1.0 / (1.0 + (pivot / float(prior.support_upper)) ** root)     # u(s); 1 at s = inf
-    return adaptive_quad(g, 0.0, end, [s ** root / (s ** root + pivot ** root)
-                                       for s in (inner_scale, outer_scale) if s])
+    total = adaptive_quad(g, 0.0, end, [s ** root / (s ** root + pivot ** root)
+                                        for s in (inner_scale, outer_scale) if s])
+    last = pivot * (2.0 ** 53 - 1.0) ** k      # the clamped node: u / (1 - u) = 2^53 - 1
+    lost = (1.0 - float(prior.cdf(last))) * float(np.max(np.abs(f(np.array([last])))))
+    peak = float(np.max(np.abs(total)))
+    if not lost <= QUAD_TOL * peak:
+        raise QuadratureError(f"the prior mass beyond tau = {last:.3g} is not negligible",
+                              achieved=lost / peak if peak else math.inf)
+    return total
 
 
 # -- mixing rules ------------------------------------------------------------
@@ -295,6 +307,10 @@ _RULE_PROBES = 48
 #: largest tau the layout may reach
 _RULE_MAX_TAU = 1e300
 
+#: nodes beyond this many reaches are collapsed into this many Gauss nodes
+_RULE_FAR_REACHES = 100.0
+_RULE_FAR_NODES = 5
+
 #: largest offset a rule is built for, absolute and in inner scales
 MAX_REACH = 1e150
 MAX_REACH_SCALES = 1e153
@@ -307,7 +323,8 @@ class MixingRule:
     ``weights`` already hold the prior density and the Jacobian, so the
     integral of ``kernel(tau)`` against the prior is
     ``kernel(nodes) @ weights``.  ``reach`` is the largest offset the rule
-    was checked for; ``achieved`` is the error its check measured.
+    was checked for (nodes beyond 100 reaches are Gauss nodes in 1 / tau);
+    ``achieved`` is the error its check measured.
     """
 
     nodes: np.ndarray
@@ -349,8 +366,8 @@ def _rule_layout(prior, inner_scale: float) -> tuple[float, np.ndarray, float]:
 
 def _rule_nodes(prior, t0: float, edges: np.ndarray,
                 halve: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and prior-weighted weights of the layout, every panel halved
-    when ``halve`` is set."""
+    """Nodes of positive weight and their prior-weighted weights over the
+    layout, every panel halved when ``halve`` is set."""
     first = np.array([0.0, 0.5 * t0, t0] if halve else [0.0, t0])
     if halve:
         edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
@@ -359,7 +376,31 @@ def _rule_nodes(prior, t0: float, edges: np.ndarray,
     tau_log = np.exp(x)
     tau = np.concatenate([tau_lin, tau_log])
     weights = np.concatenate([w_lin, w_log * tau_log]) * np.asarray(prior.density(tau))
-    return tau, weights
+    return tau[weights > 0.0], weights[weights > 0.0]
+
+
+def _collapse_far_tail(tau: np.ndarray, weights: np.ndarray, reach: float,
+                       order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes beyond 100 reaches, if more than ``order``, replaced by the
+    ``order``-node Gauss rule of their measure in v = 1 / tau (Stieltjes);
+    kept if the nodes would not stay finite, positive and increasing."""
+    far = tau > _RULE_FAR_REACHES * reach
+    if np.count_nonzero(far) <= order:
+        return tau, weights
+    x, w = tau[far][0] / tau[far], weights[far]        # v scaled by its maximum
+    alpha, beta, prev, p, norm_prev = np.empty(order), np.empty(order), 0.0, np.ones_like(x), 1.0
+    for j in range(order):
+        norm = w @ np.square(p)
+        if not norm > 0.0:      # fewer than ``order`` distinct nodes
+            return tau, weights
+        alpha[j], beta[j] = (w @ (x * np.square(p))) / norm, norm / norm_prev
+        prev, p, norm_prev = p, (x - alpha[j]) * p - beta[j] * prev, norm
+    x, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(np.sqrt(beta[1:]), -1))
+    with np.errstate(divide="ignore", over="ignore"):
+        nodes = np.concatenate([tau[~far], tau[far][0] / x[::-1]])
+    if not (x[0] > 0.0 and np.all(np.diff(nodes) > 0.0) and nodes[-1] < math.inf):
+        return tau, weights
+    return nodes, np.concatenate([weights[~far], beta[0] * np.square(vectors[0, ::-1])])
 
 
 def mixing_rule(prior, inner_scale: float, reach: float,
@@ -372,7 +413,8 @@ def mixing_rule(prior, inner_scale: float, reach: float,
     standard error).  ``check(tau, weights, d)`` evaluates what the rule
     will serve, on tau nodes with these weights, at the probe offsets ``d``:
     a (d.size, q) array with one column per quantity, each held to
-    ``RULE_TOL``.  It must accept ``tau = inf``.
+    ``RULE_TOL``.  It must accept ``tau = inf`` and be smooth in 1 / tau
+    beyond 100 reaches, where Gauss nodes in 1 / tau replace the layout's.
 
     Raises
     ------
@@ -390,11 +432,11 @@ def mixing_rule(prior, inner_scale: float, reach: float,
     total = float(np.sum(weights))
     far_mass = np.cumsum(weights[::-1])[::-1]
     keep = (far_mass > _RULE_TAIL_MASS * total) & (weights > _RULE_NODE_WEIGHT * total)
-    tau, weights = tau[keep], weights[keep]
+    tau, weights = _collapse_far_tail(tau[keep], weights[keep], reach, _RULE_FAR_NODES)
 
-    ref_tau, ref_w = _rule_nodes(prior, t0, edges, halve=True)
-    ref_tau = np.append(ref_tau[ref_w > 0.0], math.inf)
-    ref_w = np.append(ref_w[ref_w > 0.0], beyond)
+    ref_tau, ref_w = _collapse_far_tail(*_rule_nodes(prior, t0, edges, halve=True), reach,
+                                        _RULE_FAR_NODES + 3)
+    ref_tau, ref_w = np.append(ref_tau, math.inf), np.append(ref_w, beyond)
 
     probes = np.geomspace(min(inner_scale / 16.0, reach), reach, _RULE_PROBES)
     d = np.concatenate(([0.0], probes))

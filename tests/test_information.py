@@ -14,6 +14,8 @@ from mapprior import (
     make_prior,
     uisd,
 )
+from mapprior.information import _expectation, _panel_edges, _probability_ladder
+from mapprior.quadrature import panel_nodes
 
 
 class TestUisd:
@@ -109,6 +111,27 @@ class TestMapPriors:
         mp = MapPrior(0.0, 0.451 ** 2, make_prior("half-cauchy", 0.34))
         value = ess_for_map_prior(mp, uisd(70, 0.451))
         assert 10.0 < value < 50.0
+
+
+class TestSymmetricHalf:
+    @pytest.mark.parametrize("prior", table2_priors() + [make_prior("uniform", 0.7)],
+                             ids=lambda p: p.spec_string())
+    def test_upper_half_gives_the_full_ladder_expectation(self, monkeypatch, prior):
+        # the density and curvature are even about the location, the ladder's median
+        mp = MapPrior(-0.4, 0.451 ** 2, prior)
+        nodes, weights = panel_nodes(_panel_edges(mp.quantiles(_probability_ladder())), 24)
+        p, curvature = mp._density_and_curvature(nodes)
+        full = _expectation(weights, p, -curvature, 3.77)
+        points = []
+        evaluate = MapPrior._density_and_curvature
+
+        def counting(self, theta):
+            points.append(np.size(theta))
+            return evaluate(self, theta)
+
+        monkeypatch.setattr(MapPrior, "_density_and_curvature", counting)
+        assert ess_for_map_prior(mp, 3.77) == pytest.approx(full, rel=1e-13)
+        assert points == [384]
 
 
 class TestCurvatureAgreement:

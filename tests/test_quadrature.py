@@ -15,9 +15,12 @@ from scipy.integrate import quad_vec
 import mapprior
 from conftest import posterior_density
 from mapprior import (
+    MapPrior,
     QuadratureError,
+    ess_for_map_prior,
     mac_oracle,
     make_prior,
+    parse_prior_spec,
     parse_ratio_ci,
     quadrature,
     reference_model_posterior,
@@ -27,6 +30,8 @@ from mapprior.quadrature import (
     MAX_INTERVALS,
     MAX_REACH,
     QUAD_TOL,
+    RULE_TOL,
+    _collapse_far_tail,
     _rule_layout,
     adaptive_quad,
     fixed_quad,
@@ -218,6 +223,23 @@ class TestMixAgainstPrior:
                 val = mix_against_prior(lambda tau: np.ones_like(tau), prior)
                 assert float(val) == pytest.approx(1.0, rel=1e-9)
 
+    @pytest.mark.parametrize("family,shape,lost", [
+        ("lomax", 0.2, 2.1e-7),
+        ("lomax", 0.25, 5.4e-9),
+        ("half-student-t", 0.2, 2.1e-7),
+    ])
+    def test_mass_beyond_the_clamped_node_is_refused(self, family, shape, lost):
+        # nodes are clamped at u = nextafter(1, 0), and the prior mass beyond
+        # that node's tau, dropped from the integral, exceeds QUAD_TOL here
+        with pytest.raises(QuadratureError, match="beyond tau") as exc:
+            mix_against_prior(lambda tau: np.ones_like(tau), make_prior(family, 1.0, shape))
+        assert exc.value.achieved == pytest.approx(lost, rel=0.05)
+
+    def test_mass_beyond_the_clamped_node_within_tolerance_is_served(self):
+        prior = make_prior("lomax", 1.0, 0.3)
+        val = float(mix_against_prior(lambda tau: np.ones_like(tau), prior))
+        assert 0.0 < 1.0 - val < QUAD_TOL
+
     @pytest.mark.parametrize("family,scale", [("half-normal", 0.5), ("uniform", 0.7)])
     def test_integrand_returning_its_argument(self, family, scale):
         # the integrand may return tau itself, a float
@@ -306,3 +328,58 @@ class TestMixingRule:
         for scale in np.geomspace(0.05, 2.0, 400):
             t0, edges, _ = _rule_layout(make_prior("uniform", scale), 0.15261871331641902)
             assert edges.size - 1 <= math.ceil(math.log(scale / t0) / _RULE_WIDTH)
+
+
+def _report_rule(spec: str):
+    """A MapPrior at the report's source SE and its rule, built for the reach
+    the ESS ladder's quantile solve sets."""
+    mp = MapPrior(0.0, 0.451 ** 2, parse_prior_spec(spec))
+    ess_for_map_prior(mp, 3.77)
+    return mp, mp._rule
+
+
+#: heavy-tailed report priors and their node counts with no far-tail collapse
+HEAVY_RULES = [("lomax(0.337,1)", 1017), ("half-cauchy(0.3)", 992)]
+
+
+class TestFarTailCollapse:
+    @pytest.mark.parametrize("spec,uncollapsed", HEAVY_RULES)
+    def test_heavy_tailed_rules_keep_at_most_half_the_nodes(self, spec, uncollapsed):
+        assert _report_rule(spec)[1].nodes.size <= uncollapsed // 2
+
+    @pytest.mark.parametrize("spec,uncollapsed", HEAVY_RULES)
+    def test_collapsed_rule_agrees_with_the_uncollapsed(self, monkeypatch, spec, uncollapsed):
+        mp, rule = _report_rule(spec)
+        monkeypatch.setattr(quadrature, "_RULE_FAR_REACHES", math.inf)
+        full = MapPrior(0.0, 0.451 ** 2, mp.tau_prior)._mixing_rule(rule.reach)
+        assert full.reach == rule.reach and full.nodes.size == uncollapsed
+        d = np.concatenate([[0.0], np.geomspace(1e-3, rule.reach, 3999)])
+        # the upper tail and the density at each offset
+        new, old = (mp._mixture(r.nodes, r.weights)._reduce(d, np.zeros(d.size, dtype=bool))
+                    for r in (rule, full))
+        for a, b in zip(new.T, old.T):
+            served = b >= 1e-12 * np.max(b)
+            np.testing.assert_allclose(a[served], b[served], rtol=1e-13, atol=0.0)
+        assert np.sum(rule.weights) == pytest.approx(np.sum(full.weights), rel=1e-14)
+        assert np.all(np.diff(rule.nodes) > 0.0)
+
+    @pytest.mark.parametrize("spec", [spec for spec, _ in HEAVY_RULES] + ["half-normal(0.5)"])
+    def test_check_sees_a_coarse_collapse(self, monkeypatch, spec):
+        # one Gauss node beyond one reach (four in the refined copy)
+        mp, rule = _report_rule(spec)
+        monkeypatch.setattr(quadrature, "_RULE_FAR_REACHES", 1.0)
+        monkeypatch.setattr(quadrature, "_RULE_FAR_NODES", 1)
+        fresh = MapPrior(0.0, 0.451 ** 2, mp.tau_prior)
+        if spec.startswith("half-normal"):
+            # its last node lies within the reach: nothing to collapse
+            assert np.array_equal(fresh._mixing_rule(rule.reach).nodes, rule.nodes)
+        else:
+            with pytest.raises(QuadratureError) as exc:
+                fresh._mixing_rule(rule.reach)
+            assert exc.value.achieved > RULE_TOL
+
+    def test_degenerate_far_tail_is_kept(self):
+        # eight far nodes at one tau: no five-node rule, and no warning
+        tau, weights = np.array([1.0, 2.0] + [1e3] * 8), np.full(10, 0.1)
+        assert all(a is b for a, b in zip(_collapse_far_tail(tau, weights, 1.0, 5),
+                                          (tau, weights)))
